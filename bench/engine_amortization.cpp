@@ -1,27 +1,27 @@
 // Engine amortization bench: the facade's reason to exist, measured. A
-// k-algorithm comparison sweep (the fig5–fig8 workload) runs three ways:
+// k-algorithm comparison sweep (the fig5–fig8 workload) runs two ways:
 //
-//   one-shot — k partition+distribute+preprocess passes (the legacy shape);
-//   cold engine — 1 build pass, but every query re-runs preprocessing on
-//                 its simulated machine (PR 4's behaviour, bit-identical
-//                 metrics);
-//   warm engine — Config::reuse_preprocessing: ghost degrees, orientation,
-//                 and hub bitmaps built once at session start and reused by
-//                 every query (the monitoring workload's shape).
+//   one-shot — k partition+distribute+preprocess passes (a fresh Engine per
+//              algorithm);
+//   engine   — one build: partition+distribute at construction, the
+//              preprocessing once on first use; every query replays the
+//              recorded build (Config::charge_preprocessing, the default —
+//              bit-identical metrics) or, with --charge-preprocessing=0,
+//              charges nothing.
 //
-// A second section measures the warm mode's monitoring steady state: one
-// long-lived session answering rounds of family-algorithm queries (DITRIC,
-// DITRIC2, CETRIC, CETRIC2 — the production sink-capable algorithms),
-// against a baseline that rebuilds everything per query. Steady-state
-// per-round wall clock is the honest monitoring metric: the session build
-// is paid once at start and is not part of any round.
+// A second section measures the monitoring steady state: one long-lived
+// engine without the preprocessing charge answering rounds of
+// family-algorithm queries (DITRIC, DITRIC2, CETRIC, CETRIC2 — the
+// production sink-capable algorithms), against a baseline that rebuilds
+// everything per query. Steady-state per-round wall clock is the honest
+// monitoring metric: the build is paid once, in a warmup round, and is not
+// part of any measured round.
 //
-// Doubles as the CI equivalence gate: every cold-engine result must be
-// bit-identical (count, simulated time, volume) to its one-shot twin, every
-// warm-engine result must match the one-shot triangle count exactly, and
-// the warm steady-state round must save at least --warm-gate percent of the
-// per-query-rebuild round's wall clock — or the bench exits non-zero.
-// Snapshot: bench/BENCH_engine.json.
+// Doubles as the CI equivalence gate: every engine result must match its
+// one-shot twin's triangle count — and, when charged, be bit-identical to
+// it (simulated time, volume, messages) — and the steady-state round must
+// save at least --warm-gate percent of the per-query-rebuild round's wall
+// clock — or the bench exits non-zero. Snapshot: bench/BENCH_engine.json.
 
 #include <cmath>
 #include <iostream>
@@ -75,16 +75,14 @@ int main(int argc, char** argv) {
               << " algorithms, " << reps << " rep(s)\n\n";
 
     Config warm_config = config;
-    warm_config.reuse_preprocessing = true;
+    warm_config.charge_preprocessing = false;
 
-    // --- the sweep, three ways ------------------------------------------
+    // --- the sweep, two ways --------------------------------------------
     double engine_wall = -1.0;
     double oneshot_wall = -1.0;
-    double warm_wall = -1.0;
     double build_wall = -1.0;
-    std::size_t warm_builds = 0;
+    std::size_t preprocess_builds = 0;
     std::vector<Report> engine_reports;
-    std::vector<Report> warm_reports;
     std::vector<core::CountResult> oneshot_results;
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
         WallTimer timer;
@@ -99,21 +97,8 @@ int main(int argc, char** argv) {
         if (engine_wall < 0.0 || elapsed < engine_wall) {
             engine_wall = elapsed;
             build_wall = build_seconds;
+            preprocess_builds = engine.preprocess_builds();
             engine_reports = std::move(reports);
-        }
-
-        timer.restart();
-        Engine warm(g, warm_config);
-        std::vector<Report> warm_pass;
-        warm_pass.reserve(k);
-        for (const auto algorithm : algorithms) {
-            warm_pass.push_back(warm.count(algorithm));
-        }
-        const double warm_elapsed = timer.elapsed_seconds();
-        if (warm_wall < 0.0 || warm_elapsed < warm_wall) {
-            warm_wall = warm_elapsed;
-            warm_builds = warm.preprocess_builds();
-            warm_reports = std::move(warm_pass);
         }
 
         timer.restart();
@@ -122,7 +107,9 @@ int main(int argc, char** argv) {
         for (const auto algorithm : algorithms) {
             auto spec = config.run_spec();
             spec.algorithm = algorithm;
-            results.push_back(Engine(g, Config::from_run_spec(spec)).count().count);
+            auto oneshot_config = Config::from_run_spec(spec);
+            oneshot_config.charge_preprocessing = config.charge_preprocessing;
+            results.push_back(Engine(g, oneshot_config).count().count);
         }
         const double oneshot_elapsed = timer.elapsed_seconds();
         if (oneshot_wall < 0.0 || oneshot_elapsed < oneshot_wall) {
@@ -131,11 +118,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --- equivalence gates -----------------------------------------------
-    Table table({"algo", "triangles", "sim time (s)", "volume (words)", "one-shot ==",
-                 "warm count =="});
+    // --- equivalence gate ------------------------------------------------
+    Table table({"algo", "triangles", "sim time (s)", "volume (words)", "one-shot =="});
     bool identical = true;
-    bool warm_counts_match = true;
     for (std::size_t i = 0; i < k; ++i) {
         const auto& engine_run = engine_reports[i].count;
         const auto& oneshot_run = oneshot_results[i];
@@ -145,44 +130,33 @@ int main(int argc, char** argv) {
             && engine_run.total_words_sent == oneshot_run.total_words_sent
             && engine_run.max_messages_sent == oneshot_run.max_messages_sent;
         identical = identical && match;
-        const bool warm_match =
-            warm_reports[i].count.triangles == oneshot_run.triangles;
-        warm_counts_match = warm_counts_match && warm_match;
         table.row()
             .cell(core::algorithm_name(algorithms[i]))
             .cell(engine_run.triangles)
             .cell(engine_run.total_time, 5)
             .cell(engine_run.total_words_sent)
-            .cell(match ? "yes" : "DIVERGED")
-            .cell(warm_match ? "yes" : "DIVERGED");
+            .cell(match ? "yes" : "DIVERGED");
     }
     table.print(std::cout);
     if (!identical) {
-        std::cerr << "\nFAIL: a cold-engine result diverged from its one-shot twin\n";
-        return 1;
-    }
-    if (!warm_counts_match) {
-        std::cerr << "\nFAIL: a warm-engine triangle count diverged from one-shot\n";
+        std::cerr << "\nFAIL: an engine result diverged from its one-shot twin\n";
         return 1;
     }
 
     const double saved = oneshot_wall - engine_wall;
-    const double warm_saved = oneshot_wall - warm_wall;
-    std::cout << "\nbuild passes:   engine sweeps 1 each, one-shot sweep " << k << '\n'
-              << "wall clock:     cold engine " << engine_wall * 1e3
-              << " ms (build " << build_wall * 1e3 << " ms), warm engine "
-              << warm_wall * 1e3 << " ms, one-shot " << oneshot_wall * 1e3 << " ms\n"
-              << "amortization:   cold " << saved * 1e3 << " ms saved ("
-              << 100.0 * saved / oneshot_wall << "% of the sweep), warm "
-              << warm_saved * 1e3 << " ms saved ("
-              << 100.0 * warm_saved / oneshot_wall
-              << "%) by also reusing preprocessing\n";
+    std::cout << "\nbuild passes:   engine sweep 1, one-shot sweep " << k << '\n'
+              << "wall clock:     engine " << engine_wall * 1e3 << " ms (construction "
+              << build_wall * 1e3 << " ms, " << preprocess_builds
+              << " preprocessing build(s)), one-shot " << oneshot_wall * 1e3 << " ms\n"
+              << "amortization:   " << saved * 1e3 << " ms saved ("
+              << 100.0 * saved / oneshot_wall << "% of the sweep)\n";
 
     // --- warm monitor steady state ---------------------------------------
-    // The monitoring workload: one long-lived warm session answers rounds of
-    // family-algorithm queries. Steady-state round wall clock (session built
-    // once, outside any round) against a baseline that rebuilds the
-    // distributed state for every query — the ISSUE's "per-query rebuild".
+    // The monitoring workload: one long-lived engine without the
+    // preprocessing charge answers rounds of family-algorithm queries.
+    // Steady-state round wall clock (built once, in the warmup round)
+    // against a baseline that rebuilds the distributed state for every
+    // query.
     const std::vector<core::Algorithm> family = {
         core::Algorithm::kDitric, core::Algorithm::kDitric2, core::Algorithm::kCetric,
         core::Algorithm::kCetric2};
@@ -253,7 +227,8 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // The same mixed workload on a warm session must agree on every result.
+    // The same mixed workload without the preprocessing charge must agree on
+    // every result.
     WallTimer warm_mixed_timer;
     Engine warm(g, warm_config);
     const auto warm_count = warm.count(core::Algorithm::kCetric);
@@ -279,14 +254,9 @@ int main(int argc, char** argv) {
         .field("mode", std::string("engine-sweep"))
         .field("algorithms", static_cast<std::uint64_t>(k))
         .field("build_passes", std::uint64_t{1})
+        .field("preprocess_builds", static_cast<std::uint64_t>(preprocess_builds))
         .field("wall_seconds", engine_wall)
         .field("build_seconds", build_wall);
-    json.begin_row()
-        .field("mode", std::string("warm-sweep"))
-        .field("algorithms", static_cast<std::uint64_t>(k))
-        .field("build_passes", std::uint64_t{1})
-        .field("preprocess_builds", static_cast<std::uint64_t>(warm_builds))
-        .field("wall_seconds", warm_wall);
     json.begin_row()
         .field("mode", std::string("oneshot-sweep"))
         .field("algorithms", static_cast<std::uint64_t>(k))
@@ -296,10 +266,7 @@ int main(int argc, char** argv) {
         .field("mode", std::string("amortization"))
         .field("saved_seconds", saved)
         .field("saved_percent", 100.0 * saved / oneshot_wall)
-        .field("warm_saved_seconds", warm_saved)
-        .field("warm_saved_percent", 100.0 * warm_saved / oneshot_wall)
-        .field("identical_results", std::uint64_t{identical ? 1u : 0u})
-        .field("warm_counts_identical", std::uint64_t{warm_counts_match ? 1u : 0u});
+        .field("identical_results", std::uint64_t{identical ? 1u : 0u});
     json.begin_row()
         .field("mode", std::string("warm-monitor"))
         .field("rounds", rounds)

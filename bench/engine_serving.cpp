@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
     cli.flag("smoke", "CI preset: small instance, fewer requests, one rep");
     Config defaults;
     defaults.num_ranks = 16;
-    defaults.reuse_preprocessing = true;
+    defaults.charge_preprocessing = false;
     bench::add_engine_options(cli, defaults);
     if (!cli.parse(argc, argv)) { return 0; }
 
     auto config = bench::engine_config(cli);
-    config.reuse_preprocessing = true;  // serving is the warm workload
+    config.charge_preprocessing = false;  // the serving posture
     const bool smoke = cli.get_flag("smoke");
     const auto reps = smoke ? std::uint64_t{1} : cli.get_uint("reps");
     const auto num_requests =

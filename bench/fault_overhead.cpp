@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
               << ", p=" << base.num_ranks << ", " << rounds << " round(s) per mode\n\n";
 
     Config off = base;
-    off.reuse_preprocessing = true;
+    off.charge_preprocessing = false;
     off.harden = false;
     off.fault_spec.clear();
 

@@ -30,11 +30,13 @@ int main() {
               << " edge slots, " << piped.exchanged_words
               << " words redistributed in " << piped.input_time << " s (simulated)\n";
 
-    // 2. Count on the piped views.
+    // 2. Preprocess the piped views on the same machine, then count.
     core::RunSpec spec;
     spec.algorithm = core::Algorithm::kCetric2;
     spec.num_ranks = p;
-    const auto count = core::dispatch_algorithm(sim, piped.views, spec);
+    const auto hubs = core::run_preprocessing(sim, piped.views, spec.options);
+    const auto count = core::dispatch_algorithm(sim, piped.views, spec, nullptr,
+                                                /*replay=*/nullptr, &hubs);
     std::cout << "triangles: " << count.triangles << " (type 1+2: "
               << count.local_phase_triangles << ", type 3: "
               << count.global_phase_triangles << "), total simulated time "

@@ -134,13 +134,9 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
                "route stream traffic via the grid proxy (0|1)");
     cli.option("maintain-lcc", format_bool(defaults.maintain_lcc),
                "maintain per-vertex Δ/LCC alongside the streaming count (0|1)");
-    cli.option("reuse-preprocessing", format_bool(defaults.reuse_preprocessing),
-               "warm Engine sessions: build ghost degrees/orientation/hub bitmaps "
-               "once and reuse across queries (0|1)");
-    cli.option("charge-reused-preprocessing",
-               format_bool(defaults.charge_reused_preprocessing),
-               "replay recorded preprocessing costs into warm queries for "
-               "one-shot metric fidelity (0|1)");
+    cli.option("charge-preprocessing", format_bool(defaults.charge_preprocessing),
+               "replay the engine's one preprocessing build into every query's "
+               "simulated clock and metrics (0 = charge nothing) (0|1)");
     cli.option("metrics", format_bool(defaults.metrics),
                "collect the observability metrics registry — query latency "
                "p50/p99, comm counters, kernel dispatch mix (0|1)");
@@ -148,7 +144,7 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
                "write Chrome trace-event JSON of every query's phase/superstep "
                "spans to this path (empty = tracing off)");
     cli.option("serve-threads", std::to_string(defaults.serve_threads),
-               "Engine::serve worker threads over the shared warm state "
+               "Engine::serve worker threads over the shared views "
                "(0 = serve-time default of 4)");
     cli.option("queue-depth", std::to_string(defaults.queue_depth),
                "Engine::serve admission-queue capacity; submissions beyond it "
@@ -215,9 +211,7 @@ Config Config::from_args(const CliParser& cli) {
     config.options.detect_termination = cli.get_uint("detect-termination") != 0;
     config.stream_indirect = cli.get_uint("indirect") != 0;
     config.maintain_lcc = cli.get_uint("maintain-lcc") != 0;
-    config.reuse_preprocessing = cli.get_uint("reuse-preprocessing") != 0;
-    config.charge_reused_preprocessing =
-        cli.get_uint("charge-reused-preprocessing") != 0;
+    config.charge_preprocessing = cli.get_uint("charge-preprocessing") != 0;
     config.metrics = cli.get_uint("metrics") != 0;
     config.trace_out = cli.get_string("trace-out");
     config.serve_threads = static_cast<int>(cli.get_uint("serve-threads"));
@@ -345,9 +339,7 @@ std::vector<std::string> Config::to_flags() const {
     flags.push_back("--detect-termination=" + format_bool(options.detect_termination));
     flags.push_back("--indirect=" + format_bool(stream_indirect));
     flags.push_back("--maintain-lcc=" + format_bool(maintain_lcc));
-    flags.push_back("--reuse-preprocessing=" + format_bool(reuse_preprocessing));
-    flags.push_back("--charge-reused-preprocessing="
-                    + format_bool(charge_reused_preprocessing));
+    flags.push_back("--charge-preprocessing=" + format_bool(charge_preprocessing));
     flags.push_back("--metrics=" + format_bool(metrics));
     flags.push_back("--trace-out=" + trace_out);
     flags.push_back("--serve-threads=" + std::to_string(serve_threads));
@@ -420,21 +412,22 @@ Config Config::preset(const std::string& name) {
         return config;
     }
     if (name == "warm-monitor") {
-        // Monitoring-style workload: many queries over one graph — build
-        // the preprocessing state once, reuse it, skip the re-charge.
+        // Monitoring-style workload: many queries over one graph — the
+        // one preprocessing build is not re-charged to every query.
         config.algorithm = core::Algorithm::kCetric;
         config.num_ranks = 16;
         config.options.intersect = seq::IntersectKind::kAdaptive;
-        config.reuse_preprocessing = true;
+        config.charge_preprocessing = false;
         return config;
     }
     if (name == "hardened-serve") {
-        // Production-serving posture: warm state, checksummed/retransmitting
-        // message layer, retry recovery, and the metrics to watch it all.
+        // Production-serving posture: no per-query preprocessing charge,
+        // checksummed/retransmitting message layer, retry recovery, and the
+        // metrics to watch it all.
         config.algorithm = core::Algorithm::kCetric;
         config.num_ranks = 16;
         config.options.intersect = seq::IntersectKind::kAdaptive;
-        config.reuse_preprocessing = true;
+        config.charge_preprocessing = false;
         config.harden = true;
         config.recovery = fault::RecoveryPolicy::kRetry;
         config.metrics = true;

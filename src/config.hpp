@@ -54,18 +54,14 @@ struct Config {
     bool stream_indirect = false;
     bool maintain_lcc = false;
 
-    /// Warm-state session (katric::Engine): build ghost degrees, orientation,
-    /// and hub bitmaps once at construction and reuse them across queries
-    /// instead of re-running the preprocessing front half per query. Counts
-    /// and result payloads stay exact; per-query op/time telemetry omits the
-    /// preprocessing unless charge_reused_preprocessing re-charges it.
-    bool reuse_preprocessing = false;
-    /// Metric fidelity for warm sessions: replay the recorded preprocessing
-    /// costs into every query's simulated clock and communication counters,
-    /// making warm reports bit-identical to one-shot runs while still
-    /// skipping the host-side rebuild. Ignored when reuse_preprocessing is
-    /// off (cold queries charge the real build anyway).
-    bool charge_reused_preprocessing = false;
+    /// An Engine builds the preprocessing state (ghost degrees, orientation,
+    /// hub bitmaps) once, on first use. With charge_preprocessing every query
+    /// replays that build's recorded costs onto its own simulated clock and
+    /// communication counters — reports are bit-identical to a real build
+    /// (the paper's timing scope). Without it queries charge nothing for
+    /// preprocessing: counts and result payloads stay exact, op/time
+    /// telemetry omits the front half (the monitoring/serving posture).
+    bool charge_preprocessing = true;
 
     /// Observability (src/obs/): collect the metrics registry — per-query
     /// latency summaries, comm counters/histograms, AdaptiveIntersect
@@ -80,7 +76,7 @@ struct Config {
     std::string trace_out;
 
     /// Serving (Engine::serve): worker threads running submitted queries
-    /// against the shared warm state. 0 falls back to the ServeOptions /
+    /// against the shared views. 0 falls back to the ServeOptions /
     /// built-in default of 4 at session open.
     int serve_threads = 0;
     /// Serving: admission-queue capacity. Submissions beyond this many
@@ -117,7 +113,7 @@ struct Config {
 
     friend bool operator==(const Config&, const Config&) = default;
 
-    // --- spec interop (the legacy entry points are shims over these) -----
+    // --- spec interop ----------------------------------------------------
     [[nodiscard]] core::RunSpec run_spec() const;
     [[nodiscard]] stream::StreamRunSpec stream_spec() const;
     [[nodiscard]] static Config from_run_spec(const core::RunSpec& spec);
@@ -128,9 +124,9 @@ struct Config {
     /// --algorithm --ranks --partition --network --alpha --beta --compute-op
     /// --memory-limit --intersect --hub-threshold --buffer-threshold
     /// --threads --pes-per-node --compress --detect-termination --indirect
-    /// --maintain-lcc --reuse-preprocessing --charge-reused-preprocessing
-    /// --metrics --trace-out --serve-threads --queue-depth --fault-spec
-    /// --harden --recovery --max-retries --phase-timeout --deadline
+    /// --maintain-lcc --charge-preprocessing --metrics --trace-out
+    /// --serve-threads --queue-depth --fault-spec --harden --recovery
+    /// --max-retries --phase-timeout --deadline
     /// --amq-fpr --amq-truthful --amq-adaptive --amq-seed.
     static void register_cli(CliParser& cli, const Config& defaults);
     static void register_cli(CliParser& cli);  ///< defaults = Config{}

@@ -60,8 +60,42 @@ graph::Degree resolve_hub_threshold(const AlgorithmOptions& options,
     return seq::auto_hub_threshold(avg);
 }
 
-void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
-                       const AlgorithmOptions& options, PreprocessCosts* record) {
+namespace {
+
+/// One rank's share of build_hub_indices; returns the elementary ops spent
+/// (selection scan plus one bit-set per indexed element).
+std::uint64_t build_hub_index(const DistGraph& view, const AlgorithmOptions& options,
+                              seq::HubBitmapIndex& index) {
+    KATRIC_ASSERT_MSG(view.oriented_built(), "hub bitmaps index the oriented rows");
+    seq::HubBitmapIndex::Config config;
+    config.degree_threshold = resolve_hub_threshold(options, view);
+    config.universe = view.partition().num_vertices();
+    std::vector<VertexId> candidates;
+    candidates.reserve(view.num_local() + view.num_ghosts());
+    for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
+         ++v) {
+        candidates.push_back(v);
+    }
+    candidates.insert(candidates.end(), view.ghost_ids().begin(), view.ghost_ids().end());
+    return index.build(config, candidates,
+                       [&view](VertexId id) { return view.a_set(id); });
+}
+
+}  // namespace
+
+HubIndices build_hub_indices(const std::vector<DistGraph>& views,
+                             const AlgorithmOptions& options) {
+    HubIndices hubs;
+    hubs.per_rank.resize(views.size());
+    hubs.build_ops.resize(views.size());
+    for (std::size_t r = 0; r < views.size(); ++r) {
+        hubs.build_ops[r] = build_hub_index(views[r], options, hubs.per_rank[r]);
+    }
+    return hubs;
+}
+
+HubIndices run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
+                             const AlgorithmOptions& options, PreprocessCosts* record) {
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
     if (record != nullptr) {
@@ -69,7 +103,11 @@ void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
         record->assembly_ops.assign(p, 0);
         record->payload_words.assign(p, std::vector<std::uint64_t>(p, 0));
         record->apply_ops.assign(p, 0);
-        record->hub_build_ops.assign(p, 0);
+    }
+    HubIndices hubs;
+    if (uses_hub_bitmaps(options.intersect)) {
+        hubs.per_rank.resize(p);
+        hubs.build_ops.assign(p, 0);
     }
 
     // Assemble the ghost-degree push: for every local interface vertex v,
@@ -79,7 +117,7 @@ void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
     std::vector<std::vector<net::WordVec>> sends(p, std::vector<net::WordVec>(p));
     sim.run_phase("preprocessing:assemble", [&](net::RankHandle& self) {
         const Rank r = self.rank();
-        DistGraph& view = views[r];
+        const DistGraph& view = views[r];
         std::uint64_t assembly_ops = 0;
         for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
              ++v) {
@@ -133,46 +171,16 @@ void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
         view.build_oriented();
         ops += 3 * view.num_local_half_edges();
         if (record != nullptr) { record->apply_ops[r] = ops; }
-        if (uses_hub_bitmaps(options.intersect)) {
+        if (!hubs.per_rank.empty()) {
             // Materializing the hub bitmaps is preprocessing work too —
             // selection scan plus one bit-set per indexed element.
-            seq::HubBitmapIndex::Config config;
-            config.degree_threshold = resolve_hub_threshold(options, view);
-            config.universe = view.partition().num_vertices();
-            const auto hub_ops = view.build_hub_bitmaps(config);
-            if (record != nullptr) { record->hub_build_ops[r] = hub_ops; }
-            ops += hub_ops;
+            hubs.build_ops[r] = build_hub_index(view, options, hubs.per_rank[r]);
+            ops += hubs.build_ops[r];
         }
         self.charge_ops(ops);
     }, {});
     if (record != nullptr) { record->recorded = true; }
-}
-
-void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
-                          bool include_hub_build) {
-    const Rank p = sim.num_ranks();
-    KATRIC_ASSERT_MSG(costs.recorded, "charge_preprocessing needs a recorded ledger");
-    KATRIC_ASSERT(costs.assembly_ops.size() == p && costs.apply_ops.size() == p
-                  && costs.payload_words.size() == p);
-
-    sim.run_phase("preprocessing:assemble", [&](net::RankHandle& self) {
-        self.charge_ops(costs.assembly_ops[self.rank()]);
-    }, {});
-
-    // Size-only replay of the recorded exchange: the machine model charges
-    // by length only, so this is metric-identical to the original dense
-    // all-to-all — at O(p²) host cost instead of O(exchange volume), which
-    // is what keeps charge_reused_preprocessing cheap enough to run per
-    // query under concurrent serving.
-    net::charge_all_to_all(sim, costs.payload_words, /*sparse=*/false,
-                           "preprocessing:exchange");
-
-    sim.run_phase("preprocessing:apply", [&](net::RankHandle& self) {
-        const Rank r = self.rank();
-        std::uint64_t ops = costs.apply_ops[r];
-        if (include_hub_build) { ops += costs.hub_build_ops[r]; }
-        self.charge_ops(ops);
-    }, {});
+    return hubs;
 }
 
 std::optional<AlgorithmOptions> preprocess_options(Algorithm algorithm,
@@ -194,45 +202,43 @@ std::optional<AlgorithmOptions> preprocess_options(Algorithm algorithm,
     }
 }
 
-Preprocess hoist_preprocess_build(net::Simulator& sim, std::vector<DistGraph>& views,
-                                  Algorithm algorithm, const AlgorithmOptions& options,
-                                  const Preprocess& preprocess) {
-    if (preprocess.mode != Preprocess::Mode::kBuild) { return preprocess; }
-    const auto prep = preprocess_options(algorithm, options);
-    if (!prep.has_value()) { return preprocess; }
-    run_preprocessing(sim, views, *prep, preprocess.record);
-    // The build already ran (and was charged); the algorithm body must only
-    // consume the now-prebuilt views.
-    Preprocess done;
-    done.mode = Preprocess::Mode::kSkip;
-    return done;
-}
-
 void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& views,
-                         const AlgorithmOptions& options, const Preprocess& preprocess) {
-    switch (preprocess.mode) {
-        case Preprocess::Mode::kBuild:
-            KATRIC_THROW("apply_preprocessing cannot build on const views — hoist the "
-                         "build with hoist_preprocess_build before entering the "
-                         "algorithm body");
-        case Preprocess::Mode::kCharge:
-        case Preprocess::Mode::kSkip:
-            for (const auto& view : views) {
-                KATRIC_ASSERT_MSG(view.ghost_degrees_ready() && view.oriented_built(),
-                                  "warm preprocessing reuse requires prebuilt views");
-                KATRIC_ASSERT_MSG(!uses_hub_bitmaps(options.intersect)
-                                      || view.hub_index() != nullptr,
-                                  "warm reuse with bitmap kernels requires a prebuilt "
-                                  "hub index");
-            }
-            if (preprocess.mode == Preprocess::Mode::kCharge) {
-                KATRIC_ASSERT(preprocess.costs != nullptr);
-                charge_preprocessing(sim, *preprocess.costs,
-                                     uses_hub_bitmaps(options.intersect));
-            }
-            return;
+                         Algorithm algorithm, const AlgorithmOptions& options,
+                         const PreprocessCosts* replay, const HubIndices* hubs) {
+    if (algorithm == Algorithm::kTricStyle) { return; }
+    const bool with_hubs = wants_hub_indices(algorithm, options);
+    for (const auto& view : views) {
+        KATRIC_ASSERT_MSG(view.ghost_degrees_ready() && view.oriented_built(),
+                          "counting runs need preprocessed views (run_preprocessing)");
     }
-    KATRIC_THROW("unknown preprocessing mode");
+    KATRIC_ASSERT_MSG(
+        !with_hubs || (hubs != nullptr && hubs->per_rank.size() == views.size()),
+        "bitmap kernels need the views' hub indices");
+    if (replay == nullptr) { return; }
+
+    const Rank p = sim.num_ranks();
+    KATRIC_ASSERT_MSG(replay->recorded, "a preprocessing replay needs a recorded ledger");
+    KATRIC_ASSERT(replay->assembly_ops.size() == p && replay->apply_ops.size() == p
+                  && replay->payload_words.size() == p);
+
+    sim.run_phase("preprocessing:assemble", [&](net::RankHandle& self) {
+        self.charge_ops(replay->assembly_ops[self.rank()]);
+    }, {});
+
+    // Size-only replay of the recorded exchange: the machine model charges
+    // by length only, so this is metric-identical to the original dense
+    // all-to-all — at O(p²) host cost instead of O(exchange volume), which
+    // keeps the replay cheap enough to run per query under concurrent
+    // serving. It ships no payload, so the hardened layer never frames it.
+    net::charge_all_to_all(sim, replay->payload_words, /*sparse=*/false,
+                           "preprocessing:exchange");
+
+    sim.run_phase("preprocessing:apply", [&](net::RankHandle& self) {
+        const Rank r = self.rank();
+        std::uint64_t ops = replay->apply_ops[r];
+        if (with_hubs) { ops += hubs->build_ops[r]; }
+        self.charge_ops(ops);
+    }, {});
 }
 
 std::uint64_t auto_threshold(const DistGraph& view, const AlgorithmOptions& options) {

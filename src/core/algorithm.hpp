@@ -11,6 +11,7 @@
 #include "net/message_queue.hpp"
 #include "net/simulator.hpp"
 #include "seq/adaptive_intersect.hpp"
+#include "seq/bitmap_index.hpp"
 #include "seq/intersection.hpp"
 
 namespace katric::core {
@@ -159,61 +160,67 @@ inline std::uint64_t charged_intersect(net::RankHandle& self,
     return kind == seq::IntersectKind::kBitmap || kind == seq::IntersectKind::kAdaptive;
 }
 
+/// True when a run of `algorithm` under `options` intersects through hub
+/// bitmaps. The baselines never do: TriC-style skips preprocessing, and the
+/// HavoqGT-style wedge baseline orients but never intersects rows.
+[[nodiscard]] constexpr bool wants_hub_indices(Algorithm algorithm,
+                                               const AlgorithmOptions& options) noexcept {
+    return uses_hub_bitmaps(options.intersect) && algorithm != Algorithm::kTricStyle
+           && algorithm != Algorithm::kHavoqgtStyle;
+}
+
 /// Effective hub-degree threshold for one rank's view (see
 /// AlgorithmOptions::hub_threshold).
 [[nodiscard]] graph::Degree resolve_hub_threshold(const AlgorithmOptions& options,
                                                   const DistGraph& view);
 
+/// Every rank's hub bitmap index for one hub-threshold setting, built over
+/// the oriented rows of preprocessed views, plus what building each cost.
+/// Immutable once built; the indexed rows must outlive it (an index
+/// fingerprints the storage it was built from).
+struct HubIndices {
+    std::vector<seq::HubBitmapIndex> per_rank;  ///< empty = no hub indices
+    std::vector<std::uint64_t> build_ops;       ///< per rank, for replaying the build
+};
+
+/// Rank r's hub index, or nullptr when `hubs` is null or holds none.
+[[nodiscard]] inline const seq::HubBitmapIndex* hub_index(const HubIndices* hubs,
+                                                          Rank r) noexcept {
+    return hubs == nullptr || hubs->per_rank.empty() ? nullptr : &hubs->per_rank[r];
+}
+
+/// Builds every rank's hub index over its oriented rows — A(v) for locals,
+/// the rewired A(g) for ghosts — under `options`' hub threshold. Host-side:
+/// nothing is charged. Requires preprocessed views.
+[[nodiscard]] HubIndices build_hub_indices(const std::vector<DistGraph>& views,
+                                           const AlgorithmOptions& options);
+
 /// The recorded cost ledger of one preprocessing pass, split by phase so a
-/// warm session can re-charge a later run without redoing the build. The
-/// ledger is options-independent except for the hub-bitmap build, which is
-/// kept separate: a replay includes it only when the replayed run's kernels
-/// would have built the index.
+/// later run can replay it onto its own simulator without redoing the build.
+/// The ledger does not depend on the algorithm options; the hub-bitmap build
+/// is charged from HubIndices::build_ops instead.
 struct PreprocessCosts {
     bool recorded = false;
     std::vector<std::uint64_t> assembly_ops;  ///< per rank: degree-push assembly
     /// Per-(src, dest) ghost-degree payload sizes in words — enough to replay
     /// the dense all-to-all with identical timing and message metrics.
     std::vector<std::vector<std::uint64_t>> payload_words;
-    std::vector<std::uint64_t> apply_ops;      ///< per rank: degree apply + orientation scans
-    std::vector<std::uint64_t> hub_build_ops;  ///< per rank: hub bitmap build (0 when absent)
+    std::vector<std::uint64_t> apply_ops;  ///< per rank: degree apply + orientation scans
 };
 
-/// How a counting run treats the preprocessing front half. The default
-/// (kBuild) is the one-shot behaviour: build the distributed state on the
-/// simulator and charge it. A warm katric::Engine whose views are already
-/// preprocessed passes kCharge (replay the recorded costs — metric fidelity
-/// without the host-side work) or kSkip (charge nothing; op/time telemetry
-/// omits the front half while the counts stay exact).
-struct Preprocess {
-    enum class Mode { kBuild, kCharge, kSkip };
-    Mode mode = Mode::kBuild;
-    /// kCharge: the ledger to replay (must be recorded).
-    const PreprocessCosts* costs = nullptr;
-    /// kBuild: optional out-ledger filled while building.
-    PreprocessCosts* record = nullptr;
-};
-
-/// Runs the preprocessing of Section IV-D on the simulator: the dense
-/// all-to-all ghost-degree exchange followed by building the degree-oriented
-/// (and, for CETRIC, expanded/contracted) adjacency structures — plus, for
-/// the bitmap-aware kernels, each rank's hub bitmap index — charging the
-/// corresponding linear work. Runs as the supersteps
+/// Runs the preprocessing of Section IV-D on the simulator — the one real
+/// build: the dense all-to-all ghost-degree exchange followed by building
+/// the degree-oriented (and, for CETRIC, expanded/contracted) adjacency
+/// structures, plus, for the bitmap-aware kernels, every rank's hub bitmap
+/// index — charging the corresponding linear work. Runs as the supersteps
 /// "preprocessing:assemble" / "preprocessing:exchange" /
 /// "preprocessing:apply" (aggregate with the "preprocessing*" pattern).
-/// When `record` is given, the per-phase costs are captured for later
-/// replay.
-void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
-                       const AlgorithmOptions& options,
-                       PreprocessCosts* record = nullptr);
-
-/// Charge-only replay of a recorded preprocessing pass: reproduces the
-/// original's simulated time and communication metrics (same phases, same
-/// message sizes, same ops) without touching the views. The hub-build ops
-/// are included only when `include_hub_build` — mirroring that a fresh run
-/// with non-bitmap kernels would not have built the index.
-void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
-                          bool include_hub_build);
+/// The views are read-only afterwards. Returns the hub indices (empty when
+/// `options`' kernels use none); when `record` is given, the per-phase costs
+/// are captured for later replay.
+HubIndices run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
+                             const AlgorithmOptions& options,
+                             PreprocessCosts* record = nullptr);
 
 /// The preprocessing option set an algorithm's build pass uses: nullopt for
 /// TriC-style (no preprocessing at all), a copy with kMerge kernels for the
@@ -222,27 +229,16 @@ void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
 [[nodiscard]] std::optional<AlgorithmOptions> preprocess_options(
     Algorithm algorithm, const AlgorithmOptions& options);
 
-/// Runs a kBuild preprocessing pass up front (with the algorithm's effective
-/// preprocess_options) and returns the policy the algorithm body should run
-/// with — kSkip after a build, the input policy unchanged otherwise (incl.
-/// for TriC-style, whose body ignores it). This is the only view-mutating
-/// step of a counting run; hoisting it keeps the algorithm bodies on const
-/// views, which is what makes concurrent queries over shared warm state
-/// provably read-only.
-[[nodiscard]] Preprocess hoist_preprocess_build(net::Simulator& sim,
-                                                std::vector<DistGraph>& views,
-                                                Algorithm algorithm,
-                                                const AlgorithmOptions& options,
-                                                const Preprocess& preprocess);
-
-/// Policy dispatch used by every algorithm body that owns a preprocessing
-/// phase: replay the recorded charges (kCharge) or skip (kSkip) — both
-/// require views that are already preprocessed (oriented, ghost degrees
-/// ready, hub index present when the kernels want one). kBuild must be
-/// hoisted with hoist_preprocess_build before the body runs; passing it
-/// here throws.
+/// The preprocessing front half of every algorithm that has one (all but
+/// TriC-style) over already-preprocessed views: replays `replay` when given
+/// — the recorded phases with the same message sizes and ops, plus the hub
+/// build from `hubs` when the run intersects through hub bitmaps — or
+/// charges nothing when null. The replay is metric-identical to
+/// run_preprocessing with the same options. Asserts the views are
+/// preprocessed and that `hubs` is present when the run wants hub indices.
 void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& views,
-                         const AlgorithmOptions& options, const Preprocess& preprocess);
+                         Algorithm algorithm, const AlgorithmOptions& options,
+                         const PreprocessCosts* replay, const HubIndices* hubs);
 
 /// Per-PE automatic buffer threshold δ (Section IV-A): O(|E_i|).
 [[nodiscard]] std::uint64_t auto_threshold(const DistGraph& view,

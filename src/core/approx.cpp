@@ -6,7 +6,6 @@
 
 #include "amq/bloom.hpp"
 #include "core/cetric.hpp"
-#include "engine.hpp"
 #include "graph/builder.hpp"
 #include "net/collectives.hpp"
 #include "util/assert.hpp"
@@ -25,32 +24,24 @@ constexpr std::size_t kBloomHeaderWords = 5;
 
 }  // namespace
 
-AmqResult count_triangles_cetric_amq(net::Simulator& sim, std::vector<DistGraph>& views,
-                                     const RunSpec& spec, const AmqOptions& amq,
-                                     const Preprocess& preprocess) {
-    // Hoist the one view-mutating step (kBuild), then run the const body.
-    const Preprocess effective = hoist_preprocess_build(sim, views, Algorithm::kCetric,
-                                                        spec.options, preprocess);
-    return count_triangles_cetric_amq(sim, std::as_const(views), spec, amq, effective);
-}
-
 AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                                      const std::vector<DistGraph>& views,
                                      const RunSpec& spec, const AmqOptions& amq,
-                                     const Preprocess& preprocess) {
+                                     const PreprocessCosts* replay,
+                                     const HubIndices* hubs) {
     const Rank p = spec.num_ranks;
     KATRIC_ASSERT(views.size() == p);
 
     AmqResult result;
 
-    apply_preprocessing(sim, views, spec.options, preprocess);
+    apply_preprocessing(sim, views, Algorithm::kCetric, spec.options, replay, hubs);
 
     // --- exact local phase (identical to CETRIC's) -----------------------
     std::vector<std::uint64_t> local_counts(p, 0);
     sim.run_phase("local", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(spec.options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(spec.options.intersect, hub_index(hubs, r),
                                            spec.options.kernel_stats);
         auto process = [&](VertexId v, std::span<const VertexId> a_v) {
             for (VertexId u : a_v) {
@@ -83,7 +74,7 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(spec.options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(spec.options.intersect, hub_index(hubs, r),
                                            spec.options.kernel_stats);
         KATRIC_ASSERT(record.size() >= 2);
         const VertexId v = record[0];
@@ -195,19 +186,6 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
     result.metrics.triangles = static_cast<std::uint64_t>(
         std::llround(std::max(0.0, result.estimated_triangles)));
     result.metrics.local_phase_triangles = result.exact_type12;
-    return result;
-}
-
-AmqResult count_triangles_cetric_amq(const graph::CsrGraph& global, const RunSpec& spec,
-                                     const AmqOptions& amq) {
-    // Thin shim over a temporary session: one build, one query.
-    Engine engine(global, Config::from_run_spec(spec));
-    auto report = engine.approx_count(amq);
-    AmqResult result;
-    result.estimated_triangles = report.estimated_triangles;
-    result.exact_type12 = report.exact_type12;
-    result.estimated_type3 = report.estimated_type3;
-    result.metrics = std::move(report.count);
     return result;
 }
 

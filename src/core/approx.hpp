@@ -37,29 +37,14 @@ struct AmqResult {
     CountResult metrics;  ///< timings and communication of the approximate run
 };
 
-/// One-shot form: partitions, distributes, and runs on a fresh machine (a
-/// thin shim over a temporary katric::Engine).
-[[deprecated("one-shot shim — build a katric::Engine and call "
-             "approx_count(); it amortizes partitioning/distribution across "
-             "queries")]]  //
-[[nodiscard]] AmqResult count_triangles_cetric_amq(const graph::CsrGraph& global,
-                                                   const RunSpec& spec,
-                                                   const AmqOptions& amq);
-
-/// Session form over pre-built per-rank views (katric::Engine's path).
-/// `preprocess` selects build vs. warm charge/skip of the front half. The
-/// const overload is the concurrent-safe surface (kCharge/kSkip only, like
-/// dispatch_algorithm's); the non-const overload hoists a kBuild pass.
-[[nodiscard]] AmqResult count_triangles_cetric_amq(net::Simulator& sim,
-                                                   const std::vector<DistGraph>& views,
-                                                   const RunSpec& spec,
-                                                   const AmqOptions& amq,
-                                                   const Preprocess& preprocess = {});
-[[nodiscard]] AmqResult count_triangles_cetric_amq(net::Simulator& sim,
-                                                   std::vector<DistGraph>& views,
-                                                   const RunSpec& spec,
-                                                   const AmqOptions& amq,
-                                                   const Preprocess& preprocess = {});
+/// Runs CETRIC-AMQ over preprocessed per-rank views (katric::Engine's
+/// path): exact CETRIC local phase, Bloom-filter global phase. `replay` is
+/// the recorded preprocessing ledger to charge first (null = charge
+/// nothing); `hubs` are the views' hub indices for the bitmap kernels.
+[[nodiscard]] AmqResult count_triangles_cetric_amq(
+    net::Simulator& sim, const std::vector<DistGraph>& views, const RunSpec& spec,
+    const AmqOptions& amq, const PreprocessCosts* replay = nullptr,
+    const HubIndices* hubs = nullptr);
 
 /// DOULION (Tsourakakis et al.): keep each edge with probability keep_prob;
 /// a count T' on the sparsified graph estimates T ≈ T′/keep_prob³. Uses any

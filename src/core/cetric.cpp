@@ -33,12 +33,10 @@ std::uint64_t intersect_for(net::RankHandle& self, std::span<const VertexId> a,
 
 CountResult run_cetric(net::Simulator& sim, const std::vector<DistGraph>& views,
                        const AlgorithmOptions& options, bool indirect,
-                       const TriangleSink* sink, const Preprocess& preprocess) {
+                       const TriangleSink* sink, const HubIndices* hubs) {
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
     CountResult result;
-
-    apply_preprocessing(sim, views, options, preprocess);
 
     std::vector<std::uint64_t> local_counts(p, 0);
     std::vector<std::uint64_t> global_counts(p, 0);
@@ -48,7 +46,7 @@ CountResult run_cetric(net::Simulator& sim, const std::vector<DistGraph>& views,
     sim.run_phase("local", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
                                            options.kernel_stats);
         ThreadBinner binner(options.threads);
         const bool hybrid = options.threads > 1 && sink == nullptr;
@@ -101,7 +99,7 @@ CountResult run_cetric(net::Simulator& sim, const std::vector<DistGraph>& views,
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
                                            options.kernel_stats);
         KATRIC_ASSERT(!record.empty());
         const VertexId v = record[0];

@@ -19,12 +19,12 @@ namespace katric::core {
 ///     cut structure;
 ///   * reduce — binomial-tree sum.
 ///
-/// indirect=true gives CETRIC2 (grid routing in the global phase).
-/// `preprocess` selects build vs. warm charge/skip of the front half
-/// (core::Preprocess; the default builds, the one-shot behaviour).
+/// indirect=true gives CETRIC2 (grid routing in the global phase). Runs on
+/// preprocessed views (dispatch_algorithm charges or replays the front
+/// half); `hubs` are the views' hub indices for the bitmap kernels.
 CountResult run_cetric(net::Simulator& sim, const std::vector<DistGraph>& views,
                        const AlgorithmOptions& options, bool indirect,
                        const TriangleSink* sink = nullptr,
-                       const Preprocess& preprocess = {});
+                       const HubIndices* hubs = nullptr);
 
 }  // namespace katric::core

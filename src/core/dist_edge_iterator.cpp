@@ -37,12 +37,10 @@ std::uint64_t intersect_for(net::RankHandle& self, std::span<const VertexId> a,
 
 CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>& views,
                               const AlgorithmOptions& options, EdgeIteratorMode mode,
-                              const TriangleSink* sink, const Preprocess& preprocess) {
+                              const TriangleSink* sink, const HubIndices* hubs) {
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
     CountResult result;
-
-    apply_preprocessing(sim, views, options, preprocess);
 
     std::vector<std::uint64_t> local_counts(p, 0);
     std::vector<std::uint64_t> global_counts(p, 0);
@@ -51,7 +49,7 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
     sim.run_phase("local", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
                                            options.kernel_stats);
         ThreadBinner binner(options.threads);
         const bool hybrid = options.threads > 1 && sink == nullptr;
@@ -102,7 +100,7 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
         const Rank r = self.rank();
         if (detect) { detector.note_received(r); }
         const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
+        const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
                                            options.kernel_stats);
         KATRIC_ASSERT(!record.empty());
         const VertexId v = record[0];

@@ -22,12 +22,12 @@ struct EdgeIteratorMode {
 /// mode = {buffered=true}         → DITRIC
 /// mode = {buffered, indirect}    → DITRIC2
 ///
-/// Preprocessing (ghost-degree exchange + orientation) is governed by
-/// `preprocess`: built and charged here by default (the paper's timing
-/// scope), or replayed/skipped for a warm session whose views are prebuilt.
+/// Runs on preprocessed views (ghost-degree exchange + orientation done;
+/// dispatch_algorithm charges or replays that front half). `hubs` are the
+/// views' hub indices for the bitmap kernels (null = none).
 CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>& views,
                               const AlgorithmOptions& options, EdgeIteratorMode mode,
                               const TriangleSink* sink = nullptr,
-                              const Preprocess& preprocess = {});
+                              const HubIndices* hubs = nullptr);
 
 }  // namespace katric::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine.hpp"
 #include "net/collectives.hpp"
 #include "net/encoding.hpp"
 #include "net/metrics.hpp"
@@ -66,25 +65,10 @@ std::vector<std::int64_t> LccDeltaState::assemble() const {
     return global;
 }
 
-LccResult compute_distributed_lcc(net::Simulator& sim, std::vector<DistGraph>& views,
-                                  const graph::CsrGraph& global, const RunSpec& spec,
-                                  const Preprocess& preprocess) {
-    // The sink-support check must precede the build hoist so a rejected run
-    // charges nothing (the const body re-checks via dispatch_algorithm).
-    if (!algorithm_supports_sink(spec.algorithm)) {
-        LccResult result;
-        result.count.error = RunError::kSinkUnsupported;
-        return result;
-    }
-    const Preprocess effective = hoist_preprocess_build(sim, views, spec.algorithm,
-                                                        spec.options, preprocess);
-    return compute_distributed_lcc(sim, std::as_const(views), global, spec, effective);
-}
-
 LccResult compute_distributed_lcc(net::Simulator& sim,
                                   const std::vector<DistGraph>& views,
                                   const graph::CsrGraph& global, const RunSpec& spec,
-                                  const Preprocess& preprocess) {
+                                  const PreprocessCosts* replay, const HubIndices* hubs) {
     const Rank p = spec.num_ranks;
     KATRIC_ASSERT(views.size() == p);
     const auto& partition = views.front().partition();
@@ -95,7 +79,7 @@ LccResult compute_distributed_lcc(net::Simulator& sim,
     };
 
     LccResult result;
-    result.count = dispatch_algorithm(sim, views, spec, &sink, preprocess);
+    result.count = dispatch_algorithm(sim, views, spec, &sink, replay, hubs);
     // Typed precondition failure (baseline algorithm with a sink): nothing
     // ran, so there is no Δ state to aggregate.
     if (result.count.error != RunError::kNone) { return result; }
@@ -134,18 +118,6 @@ LccResult compute_distributed_lcc(net::Simulator& sim,
     const auto signed_delta = state.assemble();
     result.delta.assign(signed_delta.begin(), signed_delta.end());
     result.lcc = seq::lcc_from_triangle_counts(global, result.delta);
-    return result;
-}
-
-LccResult compute_distributed_lcc(const graph::CsrGraph& global, const RunSpec& spec) {
-    // Thin shim over a temporary session: one build, one query.
-    Engine engine(global, Config::from_run_spec(spec));
-    auto report = engine.lcc();
-    LccResult result;
-    result.count = std::move(report.count);
-    result.delta = std::move(report.delta);
-    result.lcc = std::move(report.lcc);
-    result.postprocess_time = report.postprocess_time;
     return result;
 }
 

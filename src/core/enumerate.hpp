@@ -8,8 +8,9 @@ namespace katric::core {
 
 /// Triangle enumeration (Section IV-E: "since each triangle is found exactly
 /// once, this can be easily generalized to the case of triangle
-/// enumeration"). Each triangle is emitted by exactly one PE; this driver
-/// collects the per-PE streams and returns the canonicalized, sorted list.
+/// enumeration"). Each triangle is emitted by exactly one PE;
+/// katric::Engine::enumerate collects the per-PE streams into the
+/// canonicalized, sorted list.
 struct Triangle {
     VertexId a;  // a < b < c (canonical form)
     VertexId b;
@@ -23,13 +24,5 @@ struct EnumerateResult {
     std::vector<std::size_t> found_per_rank;  ///< emission counts (load profile)
     CountResult count;
 };
-
-/// spec.algorithm must support a triangle sink (edge-iterator family or
-/// CETRIC/CETRIC2). The returned list's size always equals count.triangles —
-/// i.e. no triangle is emitted twice anywhere in the machine (tested).
-[[deprecated("one-shot shim — build a katric::Engine and call enumerate(); "
-             "it amortizes partitioning/distribution across queries")]]  //
-[[nodiscard]] EnumerateResult enumerate_triangles(const graph::CsrGraph& global,
-                                                  const RunSpec& spec);
 
 }  // namespace katric::core

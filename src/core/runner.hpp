@@ -25,37 +25,19 @@ struct RunSpec {
 [[nodiscard]] graph::Partition1D make_partition(const graph::CsrGraph& global,
                                                 const RunSpec& spec);
 
-/// Dispatches on spec.algorithm over pre-built per-rank views. The sink is
+/// Dispatches on spec.algorithm over preprocessed per-rank views (see
+/// core::run_preprocessing; TriC-style alone runs on raw views). The sink is
 /// supported by the paper's algorithms (edge-iterator family and CETRIC);
 /// passing one with a baseline algorithm returns a CountResult whose
-/// error == RunError::kSinkUnsupported without running anything — including
-/// on the warm (preprocess-reusing) path, where the check still precedes
-/// every charge. `preprocess` selects build vs. warm charge/skip of the
-/// preprocessing front half for the algorithms that own one (the TriC-style
-/// baseline never preprocesses and ignores it).
-///
-/// The const overload is the thread-safe surface: it never mutates the
-/// views (preprocess.mode must be kCharge or kSkip — or the algorithm
-/// TriC-style, which ignores it), so any number of queries may run it
-/// concurrently over one warm view set, each on its own Simulator. The
-/// non-const overload additionally accepts kBuild: it hoists the one
-/// view-mutating step (core::hoist_preprocess_build) and then runs the same
-/// const body.
+/// error == RunError::kSinkUnsupported without running or charging
+/// anything. `replay` is the recorded preprocessing ledger to charge onto
+/// `sim` first (null = charge nothing); `hubs` are the views' hub indices,
+/// required when the run intersects through hub bitmaps. Never mutates the
+/// views, so any number of queries may run it concurrently over one view
+/// set, each on its own Simulator.
 CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>& views,
                                const RunSpec& spec, const TriangleSink* sink = nullptr,
-                               const Preprocess& preprocess = {});
-CountResult dispatch_algorithm(net::Simulator& sim, std::vector<DistGraph>& views,
-                               const RunSpec& spec, const TriangleSink* sink = nullptr,
-                               const Preprocess& preprocess = {});
-
-/// The library's main entry point: partitions the graph, builds every PE's
-/// local view, runs the selected algorithm on a fresh simulated machine, and
-/// returns the count plus all paper metrics. Out-of-memory aborts (the
-/// TriC-style failure mode) are reported via result.oom rather than thrown.
-[[deprecated("one-shot shim — build a katric::Engine and call count(); it "
-             "amortizes partitioning/distribution across queries")]]  //
-[[nodiscard]] CountResult count_triangles(const graph::CsrGraph& global,
-                                          const RunSpec& spec,
-                                          const TriangleSink* sink = nullptr);
+                               const PreprocessCosts* replay = nullptr,
+                               const HubIndices* hubs = nullptr);
 
 }  // namespace katric::core

@@ -42,10 +42,6 @@ void accumulate_ops(Report& report, const net::Simulator& sim) {
 
 // --- Engine ------------------------------------------------------------
 
-// Constructor bodies run pre-publication — no other thread can hold
-// state_mutex_ yet, and thread-safety analysis treats constructors as
-// unchecked — so warm_build() runs without (and must not take) the lock.
-
 Engine::Engine(const graph::CsrGraph& graph, Config config)
     : graph_(&graph),
       config_(validated(std::move(config))),
@@ -55,8 +51,6 @@ Engine::Engine(const graph::CsrGraph& graph, Config config)
     if (!config_.fault_spec.empty()) {
         injector_.emplace(fault::FaultPlan::parse(config_.fault_spec));
     }
-    warm_build();
-    warm_enabled_ = warm_.has_value();
 }
 
 Engine::Engine(const graph::CsrGraph& graph, Config config, graph::Partition1D partition)
@@ -68,8 +62,6 @@ Engine::Engine(const graph::CsrGraph& graph, Config config, graph::Partition1D p
     if (!config_.fault_spec.empty()) {
         injector_.emplace(fault::FaultPlan::parse(config_.fault_spec));
     }
-    warm_build();
-    warm_enabled_ = warm_.has_value();
 }
 
 void Engine::arm_simulator(net::Simulator& sim, const QueryOptions& query,
@@ -129,80 +121,47 @@ void Engine::record_faults(Report& report, const QueryGuard& guard) {
 
 std::string Engine::metrics_summary() const { return obs_ ? obs_->summary() : ""; }
 
-void Engine::warm_build() {
-    if (!config_.reuse_preprocessing) { return; }
-    warm_.emplace();
-    // One throwaway machine pays the front half — ghost-degree exchange,
-    // orientation, hub bitmaps when the configured kernels want them — on
-    // the shared views, recording the cost ledger for later replay.
-    WallTimer timer;
-    net::Simulator sim(config_.num_ranks, config_.network);
-    if (obs_) { sim.record_phase_details(true); }
-    try {
-        core::run_preprocessing(sim, views_, config_.options, &warm_->costs);
-    } catch (const net::OomError&) {
-        // The front half itself blew the per-PE memory budget. Fall back to
-        // a cold session so the OOM surfaces per query as Report::count.oom
-        // — exactly what the same workload reports with reuse off.
-        warm_.reset();
-        return;
-    }
-    ++preprocess_builds_;
-    // The warm build is part of the session's observable timeline even
-    // though no query ran it — later skip-mode queries have no
-    // preprocessing spans of their own.
-    if (obs_) { obs_->observe_query("warm_build", sim, timer.elapsed_seconds()); }
+std::size_t Engine::preprocess_builds() const {
+    const util::MutexLock lock(hubs_mutex_);
+    return preprocess_builds_;
 }
 
-namespace {
-
-/// The baselines never build the index (TriC skips preprocessing, the
-/// HavoqGT wedge baseline preprocesses as if on the merge kernel).
-bool spec_wants_hubs(const core::RunSpec& spec) {
-    return core::uses_hub_bitmaps(spec.options.intersect)
-           && spec.algorithm != core::Algorithm::kTricStyle
-           && spec.algorithm != core::Algorithm::kHavoqgtStyle;
-}
-
-}  // namespace
-
-bool Engine::warm_hubs_current(const core::RunSpec& spec) const {
-    if (!spec_wants_hubs(spec)) { return true; }
-    for (const auto& view : views_) {
-        seq::HubBitmapIndex::Config hub;
-        hub.degree_threshold = core::resolve_hub_threshold(spec.options, view);
-        hub.universe = view.partition().num_vertices();
-        if (!view.hub_index_current(hub)) { return false; }
+Engine::Prepared Engine::prepare(const core::RunSpec& spec) {
+    std::call_once(preprocess_once_, [this] {
+        // One throwaway, unhardened machine pays the build — ghost-degree
+        // exchange, orientation, and the configured kernels' hub bitmaps —
+        // and records the ledger every charged query replays. No query's
+        // own machine ever builds, so no report depends on which query got
+        // here first.
+        WallTimer timer;
+        net::Simulator sim(config_.num_ranks, config_.network);
+        if (obs_) { sim.record_phase_details(true); }
+        auto hubs = core::run_preprocessing(sim, views_, config_.options, &ledger_);
+        {
+            const util::MutexLock lock(hubs_mutex_);
+            if (!hubs.per_rank.empty()) {
+                hubs_.emplace(config_.options.hub_threshold, std::move(hubs));
+            }
+            ++preprocess_builds_;
+        }
+        // Recorded as its own query kind: with charge_preprocessing off no
+        // query carries preprocessing spans of its own.
+        if (obs_) { obs_->observe_query("warm_build", sim, timer.elapsed_seconds()); }
+    });
+    Prepared prepared;
+    if (config_.charge_preprocessing) { prepared.replay = &ledger_; }
+    if (core::wants_hub_indices(spec.algorithm, spec.options)) {
+        const util::MutexLock lock(hubs_mutex_);
+        auto [it, inserted] = hubs_.try_emplace(spec.options.hub_threshold);
+        if (inserted) {
+            // Host-side build for a hub threshold the first build did not
+            // cover; a charged query replays its ops with the ledger.
+            it->second = core::build_hub_indices(views_, spec.options);
+            ++preprocess_builds_;
+        }
+        prepared.hubs = &it->second;
     }
-    return true;
-}
-
-void Engine::rebuild_warm_hubs(const core::RunSpec& spec) {
-    bool rebuilt = false;
-    for (std::size_t r = 0; r < views_.size(); ++r) {
-        auto& view = views_[r];
-        seq::HubBitmapIndex::Config hub;
-        hub.degree_threshold = core::resolve_hub_threshold(spec.options, view);
-        hub.universe = view.partition().num_vertices();
-        if (view.hub_index_current(hub)) { continue; }
-        // Host-side rebuild; the ledger entry keeps a warm metric-fidelity
-        // replay charging exactly what a cold build of this config would.
-        warm_->costs.hub_build_ops[r] = view.build_hub_bitmaps(hub);
-        rebuilt = true;
-    }
-    if (rebuilt) { ++preprocess_builds_; }
-}
-
-core::Preprocess Engine::preprocess_policy(const QueryOptions& query) const {
-    core::Preprocess prep;  // cold default: build + charge inside the run
-    if (warm_) {
-        const bool charge = query.charge_preprocessing.value_or(
-            config_.charge_reused_preprocessing);
-        prep.mode = charge ? core::Preprocess::Mode::kCharge
-                           : core::Preprocess::Mode::kSkip;
-        prep.costs = &warm_->costs;
-    }
-    return prep;
+    return prepared;
 }
 
 core::RunSpec Engine::query_spec(const QueryOptions& query) const {
@@ -241,30 +200,27 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
     Report report;
     report.query = Query::kCount;
     report.algorithm = spec.algorithm;
+    report.reused_preprocessing = !config_.charge_preprocessing;
+    const auto prepared = prepare(spec);
     // The guard is declared before the simulator everywhere: arm_simulator
     // lends the simulator the guard's stats/cancel pointers, so the borrower
     // must be destroyed first.
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
     if (obs_) { sim.record_phase_details(true); }
-    // Warm fast path: shared hold when the views already fit the spec. A
-    // cold engine (or a warm hub-config change) falls through to the
-    // exclusive hold, re-checks (another thread may have rebuilt in the
-    // unlock window), rebuilds if still needed, and runs under it. Both
-    // holds end before the degrade fallback below re-enters the engine —
-    // re-locking on the same thread would deadlock on cold engines.
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(spec)) {
-            count_body(report, sim, spec, query, sink, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(spec)) { rebuild_warm_hubs(spec); }
-        count_body(report, sim, spec, query, sink, guard);
+    arm_simulator(sim, query, guard);
+    try {
+        report.count = core::dispatch_algorithm(sim, views_, spec, sink, prepared.replay,
+                                                prepared.hubs);
+    } catch (const net::OomError&) {
+        report.count.oom = true;
+        core::fill_metrics(sim, report.count);
+    } catch (const net::FaultError& e) {
+        report.error = make_error(e.code(), e.what());
+        core::fill_metrics(sim, report.count);
+    } catch (const net::CancelledError&) {
+        report.error = make_error(ServeError::kDeadline);
+        core::fill_metrics(sim, report.count);
     }
     record_faults(report, guard);
     finalize(report, sim, timer.elapsed_seconds(),
@@ -288,26 +244,6 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
     return report;
 }
 
-void Engine::count_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                        const QueryOptions& query, const core::TriangleSink* sink,
-                        QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
-    arm_simulator(sim, query, guard);
-    try {
-        report.count = core::dispatch_algorithm(sim, locked_views(), spec, sink, prep);
-    } catch (const net::OomError&) {
-        report.count.oom = true;
-        core::fill_metrics(sim, report.count);
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
-}
-
 Report Engine::lcc(const QueryOptions& query) {
     WallTimer timer;
     auto spec = query_spec(query);
@@ -317,36 +253,15 @@ Report Engine::lcc(const QueryOptions& query) {
     Report report;
     report.query = Query::kLcc;
     report.algorithm = spec.algorithm;
+    report.reused_preprocessing = !config_.charge_preprocessing;
+    const auto prepared = prepare(spec);
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
     if (obs_) { sim.record_phase_details(true); }
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(spec)) {
-            lcc_body(report, sim, spec, query, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(spec)) { rebuild_warm_hubs(spec); }
-        lcc_body(report, sim, spec, query, guard);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
-}
-
-void Engine::lcc_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                      const QueryOptions& query, QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
     arm_simulator(sim, query, guard);
     try {
-        auto result =
-            core::compute_distributed_lcc(sim, locked_views(), *graph_, spec, prep);
+        auto result = core::compute_distributed_lcc(sim, views_, *graph_, spec,
+                                                    prepared.replay, prepared.hubs);
         report.count = std::move(result.count);
         report.delta = std::move(result.delta);
         report.lcc = std::move(result.lcc);
@@ -358,6 +273,10 @@ void Engine::lcc_body(Report& report, net::Simulator& sim, const core::RunSpec& 
         report.error = make_error(ServeError::kDeadline);
         core::fill_metrics(sim, report.count);
     }
+    record_faults(report, guard);
+    finalize(report, sim, timer.elapsed_seconds(),
+             record_kernels ? &kernel_stats : nullptr);
+    return report;
 }
 
 Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& query) {
@@ -408,45 +327,19 @@ Report Engine::approx_impl(const QueryOptions& query, bool arm) {
     report.query = Query::kApprox;
     // The AMQ query always runs the CETRIC-AMQ pipeline (exact CETRIC local
     // phase + Bloom-filter global phase), whatever Config::algorithm says —
-    // label the report (and the warm hub preparation) accordingly.
+    // label the report and prepare the hub indices accordingly.
     report.algorithm = core::Algorithm::kCetric;
-    // Hub preparation (and so the lock decision) follows the pipeline's
-    // actual algorithm, not Config::algorithm.
-    auto hub_spec = spec;
-    hub_spec.algorithm = core::Algorithm::kCetric;
+    report.reused_preprocessing = !config_.charge_preprocessing;
+    auto cetric_spec = spec;
+    cetric_spec.algorithm = core::Algorithm::kCetric;
+    const auto prepared = prepare(cetric_spec);
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
     if (obs_) { sim.record_phase_details(true); }
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(hub_spec)) {
-            approx_body(report, sim, spec, query, amq, arm, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(hub_spec)) {
-            rebuild_warm_hubs(hub_spec);
-        }
-        approx_body(report, sim, spec, query, amq, arm, guard);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
-}
-
-void Engine::approx_body(Report& report, net::Simulator& sim,
-                         const core::RunSpec& spec, const QueryOptions& query,
-                         const core::AmqOptions& amq, bool arm, QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
     if (arm) { arm_simulator(sim, query, guard); }
     try {
-        auto result =
-            core::count_triangles_cetric_amq(sim, locked_views(), spec, amq, prep);
+        auto result = core::count_triangles_cetric_amq(sim, views_, spec, amq,
+                                                       prepared.replay, prepared.hubs);
         report.count = std::move(result.metrics);
         report.estimated_triangles = result.estimated_triangles;
         report.exact_type12 = result.exact_type12;
@@ -458,29 +351,30 @@ void Engine::approx_body(Report& report, net::Simulator& sim,
         report.error = make_error(ServeError::kDeadline);
         core::fill_metrics(sim, report.count);
     }
+    record_faults(report, guard);
+    finalize(report, sim, timer.elapsed_seconds(),
+             record_kernels ? &kernel_stats : nullptr);
+    return report;
 }
 
 StreamSession Engine::open_stream() {
     core::CountResult initial;
     std::vector<std::uint64_t> initial_delta;
-    bool initial_reused = false;
     if (config_.maintain_lcc) {
         // The LCC-enabled static pass supplies both the initial count and
         // the per-vertex Δ seed in one run over the shared views.
         auto seeded = lcc();
         initial = std::move(seeded.count);
         initial_delta = std::move(seeded.delta);
-        initial_reused = seeded.reused_preprocessing;
         KATRIC_ASSERT_MSG(initial.error == core::RunError::kNone,
                           core::run_error_message(initial.error, config_.algorithm));
     } else {
         auto seeded = count();
         initial = std::move(seeded.count);
-        initial_reused = seeded.reused_preprocessing;
     }
     KATRIC_ASSERT_MSG(!initial.oom, "initial static count ran out of memory");
     return StreamSession(*graph_, partition_, config_, std::move(initial),
-                         std::move(initial_delta), initial_reused, obs_);
+                         std::move(initial_delta), obs_);
 }
 
 Report Engine::stream(const std::vector<stream::EdgeBatch>& batches,
@@ -499,12 +393,10 @@ StreamSession::StreamSession(const graph::CsrGraph& graph,
                              const graph::Partition1D& partition, Config config,
                              core::CountResult initial,
                              std::vector<std::uint64_t> initial_delta,
-                             bool initial_reused,
                              std::shared_ptr<obs::Observability> obs)
     : config_(std::move(config)),
       obs_(std::move(obs)),
       initial_(std::move(initial)),
-      initial_reused_(initial_reused),
       sim_(std::make_unique<net::Simulator>(config_.num_ranks, config_.network)),
       views_(std::make_unique<std::vector<stream::DynamicDistGraph>>(
           stream::distribute_dynamic(graph, partition))),
@@ -586,7 +478,7 @@ Report StreamSession::report() const {
     Report report;
     report.query = Query::kStream;
     report.algorithm = config_.algorithm;
-    report.reused_preprocessing = initial_reused_;
+    report.reused_preprocessing = !config_.charge_preprocessing;
     report.count.triangles = counter_->triangles();
     report.initial = initial_;
     report.batches = batches_;
@@ -601,7 +493,7 @@ Report StreamSession::report() const {
 }
 
 stream::StreamResult StreamSession::result() const {
-    // The legacy shape is a projection of the unified Report.
+    // StreamResult is a projection of the unified Report.
     auto report = StreamSession::report();
     stream::StreamResult result;
     result.initial = std::move(report.initial);

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -56,7 +58,7 @@ public:
     /// The unified result surface: a kStream Report reflecting everything
     /// ingested so far. Callable between batches.
     [[nodiscard]] Report report() const;
-    /// Legacy-shaped result (stream::count_triangles_streaming's shim).
+    /// The stream::StreamResult projection of report().
     [[nodiscard]] stream::StreamResult result() const;
 
     ~StreamSession();
@@ -65,7 +67,7 @@ private:
     friend class Engine;
     StreamSession(const graph::CsrGraph& graph, const graph::Partition1D& partition,
                   Config config, core::CountResult initial,
-                  std::vector<std::uint64_t> initial_delta, bool initial_reused,
+                  std::vector<std::uint64_t> initial_delta,
                   std::shared_ptr<obs::Observability> obs);
 
     Config config_;
@@ -74,9 +76,6 @@ private:
     /// appended to the trace when the session ends.
     std::shared_ptr<obs::Observability> obs_;
     core::CountResult initial_;
-    /// The initial static pass ran on a warm session without the metric
-    /// re-charge — propagated into report() so artifacts stay self-describing.
-    bool initial_reused_ = false;
     // Heap-held so the counter's pointers into them survive session moves.
     std::unique_ptr<net::Simulator> sim_;
     std::unique_ptr<std::vector<stream::DynamicDistGraph>> views_;
@@ -95,10 +94,6 @@ struct QueryOptions {
     std::optional<core::AlgorithmOptions> options;
     /// approx_count only: override Config::amq.
     std::optional<core::AmqOptions> amq;
-    /// Warm sessions only: override Config::charge_reused_preprocessing —
-    /// request (or suppress) the metric-fidelity preprocessing re-charge for
-    /// this query alone. Ignored on cold engines.
-    std::optional<bool> charge_preprocessing;
     /// Override Config::recovery for this query alone (what to do when the
     /// hardened layer detects an unrecoverable fault).
     std::optional<fault::RecoveryPolicy> recovery;
@@ -137,7 +132,7 @@ struct ServeRequest {
     double deadline_seconds = 0.0;
 };
 
-/// A concurrent query-serving session over one Engine's shared warm state
+/// A concurrent query-serving session over one Engine's shared state
 /// (Engine::serve): a fixed worker pool drains an admission queue of
 /// submitted queries, each running on its own fresh simulated machine
 /// against the engine's const views. Reports are bit-identical to the same
@@ -217,35 +212,32 @@ private:
 ///
 /// Construction pays the full pipeline head: partitioning (uniform or
 /// edge-balanced, or an injected custom Partition1D) and every simulated
-/// PE's DistGraph view of the input. Each query then runs on a *fresh*
-/// simulated machine over the shared views, so per-query metrics are
-/// identical to the one-shot entry points (tested bit-for-bit) while the
-/// host-side rebuild cost is paid exactly once — the amortization a
-/// parameter sweep or multi-query workload wants.
+/// PE's DistGraph view of the input. The first query that needs it runs the
+/// preprocessing of Section IV-D — ghost-degree exchange, orientation, hub
+/// bitmaps — exactly once, on a throwaway simulated machine, and records
+/// its cost ledger; the views are read-only from then on. Each query runs on
+/// a *fresh* simulated machine over the shared views and, with
+/// Config::charge_preprocessing (the default), replays the ledger first, so
+/// its report is bit-identical to building the views on its own machine
+/// (tested) while the host-side build is paid once. Without the charge, a
+/// query's op/time telemetry omits the preprocessing; counts and result
+/// payloads stay exact.
 ///
 ///   katric::Engine engine(graph, katric::Config::preset("paper-cetric"));
 ///   auto count = engine.count();              // Report
 ///   auto lcc = engine.lcc();                  // same built state
 ///   auto stream = engine.open_stream();       // promote to dynamic views
 ///
-/// Warm state (Config::reuse_preprocessing): construction additionally runs
-/// the preprocessing front half — ghost-degree exchange, orientation, hub
-/// bitmaps — once, and every query reuses it instead of rebuilding. Counts
-/// and result payloads stay exact (tested against the one-shot entry
-/// points); per-query op/time telemetry omits the front half unless
-/// Config::charge_reused_preprocessing (or a per-query override) replays
-/// the recorded costs, which restores one-shot metric fidelity bit for bit.
-///
 /// The graph must outlive the engine (the views reference its partition
 /// only; the graph itself is re-read when a query needs global degrees).
 ///
 /// Thread safety: queries may run concurrently from several threads
-/// (Engine::serve's worker pool, or direct calls). Internally a
-/// reader-writer lock keeps the shared views consistent: warm queries whose
-/// hub-index config matches the views take the lock shared and run the
-/// const algorithm surface; cold queries and warm hub-config changes take
-/// it exclusive (they mutate the views). open_stream/stream are NOT
-/// concurrent-safe — promote to streaming only with no serve session open.
+/// (Engine::serve's worker pool, or direct calls). The one build runs under
+/// std::call_once before any query reads the views; hub indices for a new
+/// hub threshold are built once under a mutex into an immutable cache.
+/// Which query triggers a build never changes any report. open_stream/
+/// stream are NOT concurrent-safe — promote to streaming only with no serve
+/// session open.
 class Engine {
 public:
     Engine(const graph::CsrGraph& graph, Config config);
@@ -267,15 +259,10 @@ public:
     [[nodiscard]] std::size_t queries_run() const noexcept {
         return queries_.load(std::memory_order_relaxed);
     }
-    /// True when this engine holds reusable preprocessing state.
-    [[nodiscard]] bool warm() const noexcept { return warm_enabled_; }
-    /// Warm sessions: preprocessing (re)builds paid — 1 at construction plus
-    /// one per hub-index config change. Cold engines report 0 (each query
-    /// rebuilds inside its own simulated run instead).
-    [[nodiscard]] std::size_t preprocess_builds() const {
-        const util::ReaderLock lock(state_mutex_);
-        return preprocess_builds_;
-    }
+    /// Preprocessing builds paid so far: 0 before the first query, then 1
+    /// plus one per additional hub-threshold setting whose hub indices a
+    /// query needed.
+    [[nodiscard]] std::size_t preprocess_builds() const;
 
     /// The session's observability instance (Config::metrics /
     /// Config::trace_out); null when both are off. Benches read the metrics
@@ -346,15 +333,10 @@ public:
     /// Opens a concurrent serving session over this engine's built state: a
     /// worker pool drains submitted queries against the shared views, each
     /// on its own fresh simulated machine (see ServeSession). The engine
-    /// must outlive the session. Best on warm engines — cold queries
-    /// serialize on the view lock (each rebuilds preprocessing in place).
+    /// must outlive the session.
     [[nodiscard]] ServeSession serve(const ServeOptions& options = {});
 
 private:
-    struct WarmState {
-        core::PreprocessCosts costs;
-    };
-
     Report enumerate(const core::TriangleSink* sink, const QueryOptions& query);
     /// approx_count body; `arm` gates the hardened layer so the kDegrade
     /// fallback can run approximate counting with injection off (retrying
@@ -362,34 +344,24 @@ private:
     Report approx_impl(const QueryOptions& query, bool arm);
     /// Ops telemetry, per-phase breakdown, typed-error propagation, and
     /// observability recording shared by every query. `wall_seconds` is the
-    /// query's host-side latency (the warm-serving p50/p99 substrate);
+    /// query's host-side latency (the serving p50/p99 substrate);
     /// `kernel_stats` the query-local dispatch mix to merge (null = none).
     void finalize(Report& report, const net::Simulator& sim, double wall_seconds,
                   const obs::KernelStats* kernel_stats = nullptr);
     /// Config::run_spec with the query's overrides applied.
     [[nodiscard]] core::RunSpec query_spec(const QueryOptions& query) const;
-    /// Warm sessions: runs the recorded preprocessing build at construction
-    /// (exclusive access by construction — no other thread has the engine).
-    void warm_build() KATRIC_REQUIRES(state_mutex_);
-    /// Warm sessions: do the views already hold the hub indices this spec's
-    /// kernel config wants? (True as well when it wants none.)
-    [[nodiscard]] bool warm_hubs_current(const core::RunSpec& spec) const
-        KATRIC_REQUIRES_SHARED(state_mutex_);
-    /// Warm sessions: (re)builds hub indices for the spec's kernel config.
-    void rebuild_warm_hubs(const core::RunSpec& spec) KATRIC_REQUIRES(state_mutex_);
-    /// The preprocessing policy this query's dispatch should run under.
-    [[nodiscard]] core::Preprocess preprocess_policy(const QueryOptions& query) const
-        KATRIC_REQUIRES_SHARED(state_mutex_);
 
-    /// The views under an active hold. Non-const because the cold build mode
-    /// mutates them inside the run; warm shared-hold callers only read — the
-    /// one shared-vs-exclusive distinction the annotations cannot express
-    /// (enforced by the equivalence and TSan suites instead), hence the one
-    /// analysis escape in Engine.
-    [[nodiscard]] std::vector<graph::DistGraph>& locked_views()
-        KATRIC_REQUIRES_SHARED(state_mutex_) KATRIC_NO_THREAD_SAFETY_ANALYSIS {
-        return views_;
-    }
+    /// What a query hands the core entry points: the ledger to replay (null
+    /// when Config::charge_preprocessing is off) and the hub indices its
+    /// kernels use (null when none).
+    struct Prepared {
+        const core::PreprocessCosts* replay = nullptr;
+        const core::HubIndices* hubs = nullptr;
+    };
+    /// Runs the one preprocessing build if no query has yet, and looks up
+    /// (building on first use) the hub indices `spec` intersects through.
+    /// Thread-safe.
+    [[nodiscard]] Prepared prepare(const core::RunSpec& spec);
 
     /// Per-query hardening context: the fault counters and the query's
     /// cancel token (deadline-armed, chained onto a caller token). Lives on
@@ -407,22 +379,6 @@ private:
     /// metrics registry: hardened/degraded flags, fault counters.
     void record_faults(Report& report, const QueryGuard& guard);
 
-    // --- locked query bodies ---------------------------------------------
-    // Each query method acquires the right hold — shared when the warm views
-    // already fit the spec, exclusive for cold builds and warm hub-config
-    // rebuilds — and runs the corresponding *_body under it. The
-    // KATRIC_REQUIRES_SHARED contract makes a body call without a hold a
-    // compile error under -Werror=thread-safety.
-    void count_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                    const QueryOptions& query, const core::TriangleSink* sink,
-                    QueryGuard& guard) KATRIC_REQUIRES_SHARED(state_mutex_);
-    void lcc_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                  const QueryOptions& query, QueryGuard& guard)
-        KATRIC_REQUIRES_SHARED(state_mutex_);
-    void approx_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                     const QueryOptions& query, const core::AmqOptions& amq, bool arm,
-                     QueryGuard& guard) KATRIC_REQUIRES_SHARED(state_mutex_);
-
     const graph::CsrGraph* graph_;
     Config config_;
     graph::Partition1D partition_;
@@ -431,16 +387,18 @@ private:
     /// Config::fault_spec; disengaged = no injection (hardening may still be
     /// on via Config::harden).
     std::optional<fault::FaultInjector> injector_;
-    /// Guards views_, warm_'s cost ledger, and the preprocessing-build
-    /// counter against concurrent queries: shared = read-only algorithm run,
-    /// exclusive = view mutation.
-    mutable util::SharedMutex state_mutex_;
-    std::vector<graph::DistGraph> views_ KATRIC_GUARDED_BY(state_mutex_);
-    std::optional<WarmState> warm_ KATRIC_GUARDED_BY(state_mutex_);
-    std::size_t preprocess_builds_ KATRIC_GUARDED_BY(state_mutex_) = 0;
-    /// warm_.has_value(), frozen after construction — the lock-free engaged
-    /// check the query prologues branch on before taking a hold.
-    bool warm_enabled_ = false;
+    /// Written only by the one build under preprocess_once_ (views_ and
+    /// ledger_); read-only for every query after it.
+    std::vector<graph::DistGraph> views_;
+    std::once_flag preprocess_once_;
+    core::PreprocessCosts ledger_;
+    /// Immutable per-threshold hub indices (keyed by
+    /// AlgorithmOptions::hub_threshold), filled on first use. Entries are
+    /// never erased, so a handed-out pointer stays valid for the engine's
+    /// lifetime.
+    mutable util::Mutex hubs_mutex_;
+    std::map<graph::Degree, core::HubIndices> hubs_ KATRIC_GUARDED_BY(hubs_mutex_);
+    std::size_t preprocess_builds_ KATRIC_GUARDED_BY(hubs_mutex_) = 0;
     std::size_t build_passes_ = 1;
     std::atomic<std::size_t> queries_{0};
 };

@@ -257,31 +257,6 @@ EdgeId DistGraph::contracted_size() const {
     return contracted_offsets_.back();
 }
 
-std::uint64_t DistGraph::build_hub_bitmaps(seq::HubBitmapIndex::Config config) {
-    KATRIC_ASSERT_MSG(oriented_built_, "hub bitmaps index the oriented rows");
-    if (config.universe == 0) { config.universe = partition_.num_vertices(); }
-    // Fresh index per build: views get copied freely by tests/benches, and a
-    // shared mutable index across copies would alias their row fingerprints.
-    auto index = std::make_shared<seq::HubBitmapIndex>();
-    std::vector<VertexId> candidates;
-    candidates.reserve(num_local() + num_ghosts());
-    for (VertexId v = first_local(); v < first_local() + num_local(); ++v) {
-        candidates.push_back(v);
-    }
-    for (std::size_t g = 0; g < num_ghosts(); ++g) { candidates.push_back(ghost_ids_[g]); }
-    const auto ops =
-        index->build(config, candidates, [this](VertexId id) { return a_set(id); });
-    hub_index_ = std::move(index);
-    hub_config_ = config;
-    return ops;
-}
-
-bool DistGraph::hub_index_current(seq::HubBitmapIndex::Config config) const noexcept {
-    if (hub_index_ == nullptr || !hub_config_.has_value()) { return false; }
-    if (config.universe == 0) { config.universe = partition_.num_vertices(); }
-    return *hub_config_ == config;
-}
-
 std::vector<DistGraph> distribute(const CsrGraph& global, const Partition1D& partition) {
     std::vector<DistGraph> views;
     views.reserve(partition.num_ranks());

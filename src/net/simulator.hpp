@@ -105,8 +105,8 @@ public:
     /// Size-only send: identical timing, ordering, and metric charges to
     /// send()ing a `words`-long payload, but no payload is materialized —
     /// the delivered span is empty. O(1) instead of O(ℓ) on both ends; the
-    /// basis of the warm engine's preprocessing-cost replay
-    /// (core::charge_preprocessing), which needs the machine charges of an
+    /// basis of the engine's preprocessing-cost replay
+    /// (core::apply_preprocessing), which needs the machine charges of an
     /// exchange without its data.
     void send_sized(Rank dest, std::uint64_t words, int tag = 0);
 

@@ -58,14 +58,14 @@ struct Report {
     /// Per-phase breakdown (fig7's sections): every superstep group of the
     /// query's simulated run, with summed time and — when the simulator
     /// recorded phase details (tracing/metrics on) — per-phase comm totals.
-    /// Populated by Engine queries; empty on the legacy entry points.
+    /// Populated by every Engine query.
     std::vector<net::PhaseAgg> phases;
 
-    /// True when this query reused cached preprocessing state WITHOUT the
-    /// metric re-charge (Config::reuse_preprocessing with the fidelity
-    /// replay off): preprocessing_time and the ghost-exchange message
-    /// counters are absent from this report. A warm query that replayed the
-    /// recorded costs is metric-identical to a cold run and reports false.
+    /// True when this query charged nothing for the engine's one
+    /// preprocessing build (Config::charge_preprocessing off):
+    /// preprocessing_time and the ghost-exchange message counters are absent
+    /// from this report. A charged query replays the recorded build and is
+    /// metric-identical to building on its own machine; it reports false.
     bool reused_preprocessing = false;
 
     /// True when the query ran on the hardened message layer (Config::harden

@@ -49,8 +49,7 @@ Config fully_customized() {
     config.options.detect_termination = true;
     config.stream_indirect = true;
     config.maintain_lcc = true;
-    config.reuse_preprocessing = true;
-    config.charge_reused_preprocessing = true;
+    config.charge_preprocessing = false;
     config.amq.target_fpr = 0.0123456789012345;
     config.amq.truthful = false;
     config.amq.adaptive = true;

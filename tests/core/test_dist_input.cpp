@@ -9,6 +9,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "seq/edge_iterator.hpp"
+#include "support/reference.hpp"
 #include "util/bits.hpp"
 
 namespace katric::core {
@@ -85,7 +86,7 @@ TEST_P(DistInputTest, EndToEndCountWithoutGlobalGraph) {
     RunSpec run;
     run.algorithm = Algorithm::kCetric;
     run.num_ranks = p;
-    EXPECT_EQ(dispatch_algorithm(sim, piped.views, run).triangles, expected);
+    EXPECT_EQ(test::build_and_dispatch(sim, piped.views, run).triangles, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(FamiliesTimesRanks, DistInputTest,

@@ -1,9 +1,10 @@
 // katric::Engine: the session facade. The load-bearing property is
 // reuse-equivalence — N queries against one built Engine must be
-// bit-identical to N one-shot entry-point calls (fresh build each), across
-// every algorithm, both partition strategies, interleaved query kinds, and
-// the hub-bitmap kernels whose per-rank indices persist on the shared
-// views. Plus the typed sink-precondition error and the stream promotion.
+// bit-identical to N real-build runs (distribute, preprocess on the query's
+// own machine, dispatch), across every algorithm, both partition
+// strategies, interleaved query kinds, and the hub-bitmap kernels whose
+// per-rank indices the engine caches. Plus the typed sink-precondition
+// error and the stream promotion.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,10 @@
 #include "gen/rgg2d.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/edge_stream.hpp"
+#include "support/engine_query.hpp"
 #include "support/expect_count.hpp"
+#include "support/reference.hpp"
 #include "support/test_graphs.hpp"
-
-// These suites intentionally call the deprecated one-shot shims — proving
-// Engine equivalence against them is their entire purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace katric {
 namespace {
@@ -29,8 +27,8 @@ using core::CountResult;
 
 /// The acceptance property: one Engine, every algorithm twice (the second
 /// pass catches state the first pass left behind), each query compared
-/// against a fresh one-shot run.
-TEST(EngineEquivalence, AlgorithmSweepMatchesOneShotAcrossPartitions) {
+/// against a fresh real-build run.
+TEST(EngineEquivalence, AlgorithmSweepMatchesRealBuildAcrossPartitions) {
     const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 7);
     for (const auto partition : {core::PartitionStrategy::kBalancedEdges,
                                  core::PartitionStrategy::kUniformVertices}) {
@@ -43,9 +41,9 @@ TEST(EngineEquivalence, AlgorithmSweepMatchesOneShotAcrossPartitions) {
                 const auto report = engine.count(algorithm);
                 auto spec = config.run_spec();
                 spec.algorithm = algorithm;
-                const auto oneshot = core::count_triangles(g, spec);
+                const auto reference = test::reference_count(g, spec);
                 test::expect_identical_counts(
-                    report.count, oneshot,
+                    report.count, reference,
                     core::algorithm_name(algorithm) + " pass " + std::to_string(pass));
             }
         }
@@ -54,8 +52,8 @@ TEST(EngineEquivalence, AlgorithmSweepMatchesOneShotAcrossPartitions) {
     }
 }
 
-/// Hub-bitmap kernels keep per-rank indices on the shared views; the
-/// rebuild in run_preprocessing must re-charge identically every query.
+/// Hub-bitmap kernels intersect through the engine's cached hub indices;
+/// every query's replay must charge the hub build like a real build.
 TEST(EngineEquivalence, AdaptiveKernelQueriesStayIdentical) {
     const auto g = test::complete_graph(24);
     Config config;
@@ -67,12 +65,12 @@ TEST(EngineEquivalence, AdaptiveKernelQueriesStayIdentical) {
         const auto report = engine.count(algorithm);
         auto spec = config.run_spec();
         spec.algorithm = algorithm;
-        test::expect_identical_counts(report.count, core::count_triangles(g, spec),
+        test::expect_identical_counts(report.count, test::reference_count(g, spec),
                                       "adaptive " + core::algorithm_name(algorithm));
     }
 }
 
-TEST(EngineEquivalence, MixedQueryKindsMatchOneShotTwins) {
+TEST(EngineEquivalence, MixedQueryKindsMatchRealBuildTwins) {
     const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 13);
     Config config;
     config.algorithm = Algorithm::kCetric;
@@ -88,22 +86,21 @@ TEST(EngineEquivalence, MixedQueryKindsMatchOneShotTwins) {
 
     test::expect_identical_counts(count1.count, count2.count, "count repeatability");
 
-    const auto lcc_oneshot = core::compute_distributed_lcc(g, config.run_spec());
-    test::expect_identical_counts(lcc.count, lcc_oneshot.count, "lcc");
-    EXPECT_EQ(lcc.delta, lcc_oneshot.delta);
-    EXPECT_EQ(lcc.lcc, lcc_oneshot.lcc);
-    EXPECT_EQ(lcc.postprocess_time, lcc_oneshot.postprocess_time);
+    const auto lcc_reference = test::reference_lcc(g, config.run_spec());
+    test::expect_identical_counts(lcc.count, lcc_reference.count, "lcc");
+    EXPECT_EQ(lcc.delta, lcc_reference.delta);
+    EXPECT_EQ(lcc.lcc, lcc_reference.lcc);
+    EXPECT_EQ(lcc.postprocess_time, lcc_reference.postprocess_time);
 
-    const auto enum_oneshot = core::enumerate_triangles(g, config.run_spec());
-    test::expect_identical_counts(enumerated.count, enum_oneshot.count, "enumerate");
-    EXPECT_TRUE(enumerated.triangles == enum_oneshot.triangles);
-    EXPECT_EQ(enumerated.found_per_rank, enum_oneshot.found_per_rank);
+    const auto enum_reference = test::reference_enumerate(g, config.run_spec());
+    test::expect_identical_counts(enumerated.count, enum_reference.count, "enumerate");
+    EXPECT_TRUE(enumerated.triangles == enum_reference.triangles);
+    EXPECT_EQ(enumerated.found_per_rank, enum_reference.found_per_rank);
 
-    const auto amq_oneshot =
-        core::count_triangles_cetric_amq(g, config.run_spec(), config.amq);
-    test::expect_identical_counts(approx.count, amq_oneshot.metrics, "approx");
-    EXPECT_EQ(approx.estimated_triangles, amq_oneshot.estimated_triangles);
-    EXPECT_EQ(approx.exact_type12, amq_oneshot.exact_type12);
+    const auto amq_reference = test::reference_approx(g, config.run_spec(), config.amq);
+    test::expect_identical_counts(approx.count, amq_reference.metrics, "approx");
+    EXPECT_EQ(approx.estimated_triangles, amq_reference.estimated_triangles);
+    EXPECT_EQ(approx.exact_type12, amq_reference.exact_type12);
 
     // And the count agrees with the sequential reference.
     EXPECT_EQ(count1.count.triangles, seq::count_edge_iterator(g).triangles);
@@ -111,7 +108,7 @@ TEST(EngineEquivalence, MixedQueryKindsMatchOneShotTwins) {
     EXPECT_EQ(engine.queries_run(), 5u);
 }
 
-TEST(EngineEquivalence, StreamPromotionMatchesOneShotStreaming) {
+TEST(EngineEquivalence, StreamPromotionMatchesFreshEngineStreaming) {
     const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 3);
     const auto churn = stream::make_churn_stream(base, 384, 0.4, 11);
     const auto batches = churn.batches_of(96);
@@ -122,26 +119,31 @@ TEST(EngineEquivalence, StreamPromotionMatchesOneShotStreaming) {
         config.maintain_lcc = maintain_lcc;
 
         // The engine runs other queries first — the stream promotion must
-        // still match a fresh one-shot streaming run bit for bit.
+        // still match a fresh engine's streaming run bit for bit, and its
+        // initial static pass a real build.
         Engine engine(base, config);
         (void)engine.count();
         const auto report = engine.stream(batches);
 
-        const auto oneshot =
-            stream::count_triangles_streaming(base, batches, config.stream_spec());
-        test::expect_identical_counts(report.initial, oneshot.initial, "stream initial");
-        EXPECT_EQ(report.count.triangles, oneshot.triangles);
-        EXPECT_EQ(report.stream_seconds, oneshot.stream_seconds);
-        ASSERT_EQ(report.batches.size(), oneshot.batches.size());
+        const auto fresh = test::engine_stream(base, batches, config.stream_spec());
+        test::expect_identical_counts(report.initial, fresh.initial, "stream initial");
+        test::expect_identical_counts(
+            report.initial,
+            maintain_lcc ? test::reference_lcc(base, config.run_spec()).count
+                         : test::reference_count(base, config.run_spec()),
+            "stream initial vs real build");
+        EXPECT_EQ(report.count.triangles, fresh.triangles);
+        EXPECT_EQ(report.stream_seconds, fresh.stream_seconds);
+        ASSERT_EQ(report.batches.size(), fresh.batches.size());
         for (std::size_t i = 0; i < report.batches.size(); ++i) {
-            EXPECT_EQ(report.batches[i].triangles, oneshot.batches[i].triangles);
-            EXPECT_EQ(report.batches[i].delta, oneshot.batches[i].delta);
-            EXPECT_EQ(report.batches[i].seconds, oneshot.batches[i].seconds);
-            EXPECT_EQ(report.batches[i].lcc_seconds, oneshot.batches[i].lcc_seconds);
-            EXPECT_EQ(report.batches[i].words_sent, oneshot.batches[i].words_sent);
+            EXPECT_EQ(report.batches[i].triangles, fresh.batches[i].triangles);
+            EXPECT_EQ(report.batches[i].delta, fresh.batches[i].delta);
+            EXPECT_EQ(report.batches[i].seconds, fresh.batches[i].seconds);
+            EXPECT_EQ(report.batches[i].lcc_seconds, fresh.batches[i].lcc_seconds);
+            EXPECT_EQ(report.batches[i].words_sent, fresh.batches[i].words_sent);
         }
-        EXPECT_EQ(report.delta, oneshot.delta);
-        EXPECT_EQ(report.lcc, oneshot.lcc);
+        EXPECT_EQ(report.delta, fresh.delta);
+        EXPECT_EQ(report.lcc, fresh.lcc);
     }
 }
 
@@ -261,5 +263,3 @@ TEST(Engine, FamilySweepMatchesSequentialReference) {
 
 }  // namespace
 }  // namespace katric
-
-#pragma GCC diagnostic pop

@@ -9,6 +9,7 @@
 #include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
+#include "support/reference.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::core {
@@ -137,7 +138,7 @@ TEST(Messages, MetricsConservation) {
         const auto partition = make_partition(g, spec);
         auto views = graph::distribute(g, partition);
         net::Simulator sim(spec.num_ranks, spec.network);
-        (void)dispatch_algorithm(sim, views, spec);
+        (void)test::build_and_dispatch(sim, views, spec);
         std::uint64_t sent_messages = 0;
         std::uint64_t recv_messages = 0;
         std::uint64_t sent_words = 0;

@@ -12,7 +12,9 @@
 #include <tuple>
 #include <vector>
 
+#include "error.hpp"
 #include "fault/injector.hpp"
+#include "net/collectives.hpp"
 #include "net/simulator.hpp"
 
 namespace katric {
@@ -399,6 +401,62 @@ TEST(HardenedChannel, CancelledTokenStopsAtTheNextBoundary) {
     EXPECT_EQ(exchange_phase(sim), expected_exchange(2));  // not yet expired
     token.cancel();
     EXPECT_THROW(exchange_phase(sim), net::CancelledError);
+}
+
+/// Per-(src, dest) payloads of varying length, some of them empty — the
+/// shape of the dense ghost-degree exchange, where every PE sends p−1
+/// messages whether or not it has anything to say.
+std::vector<std::vector<WordVec>> dense_sends(Rank p) {
+    std::vector<std::vector<WordVec>> sends(p, std::vector<WordVec>(p));
+    for (Rank src = 0; src < p; ++src) {
+        for (Rank dest = 0; dest < p; ++dest) {
+            for (Rank i = 0; i < (src + 2 * dest) % 4; ++i) {
+                sends[src][dest].push_back(1000u * src + 10u * dest + i);
+            }
+        }
+    }
+    return sends;
+}
+
+TEST(HardenedChannel, DenseAllToAllDeliversBitExactOrFailsTyped) {
+    // net::all_to_all is a library collective in its own right; engine
+    // queries replay the preprocessing exchange by size only, so the dense
+    // collective is exercised under injection here, directly.
+    const Rank p = 5;
+    Simulator plain(p, NetworkConfig{});
+    const auto expected =
+        net::all_to_all(plain, dense_sends(p), /*sparse=*/false, "exchange");
+    std::size_t delivered = 0;
+    std::size_t failed = 0;
+    for (const char* spec : {"seed=21;drop=0.3", "seed=22;dup=0.5", "seed=23;bitflip=0.3",
+                             "seed=24;drop=0.2;dup=0.2;bitflip=0.2"}) {
+        for (const std::uint32_t retries : {0u, 32u}) {
+            SCOPED_TRACE(std::string(spec) + " retries=" + std::to_string(retries));
+            Simulator sim(p, NetworkConfig{});
+            const FaultInjector injector(FaultPlan::parse(spec));
+            FaultStats stats;
+            HardenOptions harden;
+            harden.injector = &injector;
+            harden.stats = &stats;
+            harden.max_retries = retries;
+            sim.harden(harden);
+            try {
+                const auto received =
+                    net::all_to_all(sim, dense_sends(p), /*sparse=*/false, "exchange");
+                EXPECT_EQ(received, expected);
+                ++delivered;
+            } catch (const net::FaultError& e) {
+                EXPECT_EQ(make_error(e.code(), e.what()).domain, Error::Domain::kNet);
+                EXPECT_NE(e.code(), NetError::kNone);
+                ++failed;
+            }
+            EXPECT_GT(stats.injected_total(), 0u);
+        }
+    }
+    // Both outcomes occur: a generous retry budget recovers, fail-fast on a
+    // dropping or corrupting link does not.
+    EXPECT_GT(delivered, 0u);
+    EXPECT_GT(failed, 0u);
 }
 
 TEST(HardenedChannel, IdenticalSeedsGiveIdenticalSchedulesAndClocks) {

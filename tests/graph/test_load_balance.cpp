@@ -4,6 +4,7 @@
 
 #include "core/runner.hpp"
 #include "seq/edge_iterator.hpp"
+#include "support/reference.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::graph {
@@ -62,7 +63,7 @@ TEST(LoadBalance, CountsUnaffectedByPartitionChoice) {
         core::RunSpec spec;
         spec.algorithm = core::Algorithm::kCetric;
         spec.num_ranks = 8;
-        EXPECT_EQ(core::dispatch_algorithm(sim, views, spec).triangles, expected);
+        EXPECT_EQ(test::build_and_dispatch(sim, views, spec).triangles, expected);
     }
 }
 

@@ -1,10 +1,10 @@
-// charge_all_to_all — the size-only replay behind warm-engine metric
-// fidelity (core::charge_preprocessing). The contract: charging the machine
+// charge_all_to_all — the size-only replay behind a charged engine query's
+// preprocessing (core::apply_preprocessing). The contract: charging the machine
 // with payload SIZES must be metric-identical to running the real
 // all_to_all with payloads of those sizes — same simulated time, same
 // per-rank message/word counters, same phase records — in both dense and
-// sparse modes. If the two paths ever diverge, a warm query's replayed
-// preprocessing charges stop matching a cold run's.
+// sparse modes. If the two paths ever diverge, a query's replayed
+// preprocessing charges stop matching a real build's.
 
 #include <gtest/gtest.h>
 
@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(RankCountsAndModes, ChargeAllToAllTest,
                                             ::testing::Bool()));
 
 TEST(ChargeAllToAll, BackToBackChargesAccumulateLikeRepeatedExchanges) {
-    // A warm engine replays the charge once per query on the query's own
+    // An engine replays the charge once per query on the query's own
     // simulator — but the charge must also compose: two charges on one
     // machine equal two real exchanges on one machine.
     const Rank p = 4;

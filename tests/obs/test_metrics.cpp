@@ -161,6 +161,7 @@ TEST(EngineMetrics, MetricsEngineRecordsLatencyCommAndDispatchMix) {
 
     const auto& registry = engine.observability()->registry();
     EXPECT_EQ(registry.counter("query.count"), 2u);
+    EXPECT_EQ(registry.counter("query.warm_build"), 1u);  // the first-use build
     const auto* latency = registry.summary("query.count.latency_seconds");
     ASSERT_NE(latency, nullptr);
     EXPECT_EQ(latency->count(), 2u);
@@ -172,7 +173,8 @@ TEST(EngineMetrics, MetricsEngineRecordsLatencyCommAndDispatchMix) {
     EXPECT_GT(registry.counter("comm.messages_sent"), 0u);
     const auto* per_rank = registry.histogram("comm.rank_words_sent");
     ASSERT_NE(per_rank, nullptr);
-    EXPECT_EQ(per_rank->total(), 2u * 4u);  // one sample per rank per query
+    // One sample per rank per recorded run: two queries plus the build.
+    EXPECT_EQ(per_rank->total(), 3u * 4u);
 
     // The adaptive dispatcher reported which kernels actually fired.
     EXPECT_GT(engine.observability()->kernel_stats().total(), 0u);
@@ -193,13 +195,13 @@ TEST(EngineMetrics, WarmMonitorLatencyPercentiles) {
     Config config;
     config.num_ranks = 4;
     config.metrics = true;
-    config.reuse_preprocessing = true;
+    config.charge_preprocessing = false;
     Engine engine(g, config);
     ASSERT_NE(engine.observability(), nullptr);
     for (int i = 0; i < 5; ++i) { (void)engine.count(); }
 
     const auto& registry = engine.observability()->registry();
-    // Warm construction charged the preprocessing build as its own kind.
+    // The one first-use preprocessing build is recorded as its own kind.
     EXPECT_EQ(registry.counter("query.warm_build"), 1u);
     const auto* latency = registry.summary("query.count.latency_seconds");
     ASSERT_NE(latency, nullptr);

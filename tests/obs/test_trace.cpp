@@ -235,7 +235,8 @@ TEST(EngineTrace, EnginesSharingAPathShareOneTimeline) {
         EXPECT_EQ(first.observability(), second.observability());
         (void)first.count();
         (void)second.count();
-        EXPECT_EQ(first.observability()->tracer().num_queries(), 2u);
+        // Each engine's first-use preprocessing build plus its query.
+        EXPECT_EQ(first.observability()->tracer().num_queries(), 4u);
     }
     const auto check = obs::check_trace_file(path);
     EXPECT_TRUE(check.ok) << check.error;

@@ -1,6 +1,6 @@
 // HubBitmapIndex maintenance regressions: the dirty-set rebuild and full
 // rebuild must compose in any order without leaving stale rows reachable —
-// the invariant warm preprocessing reuse leans on (a query after a stream
+// the invariant cached hub indices lean on (a query after a stream
 // batch must never probe a hub row that no longer reflects the graph).
 
 #include <gtest/gtest.h>

@@ -6,12 +6,10 @@
 
 namespace katric::test {
 
-/// Engine-backed replacements for the deprecated one-shot entry points
-/// (core::count_triangles and friends): same signature shape, same result
-/// types, routed through a temporary katric::Engine — the migration target
-/// the deprecation messages point at. Tests that only need "run query X on
-/// graph G under spec S" call these; the shim-equivalence suites keep
-/// calling the deprecated functions on purpose (under a local pragma).
+/// One-query helpers for tests that only need "run query X on graph G under
+/// spec S": each routes through a temporary katric::Engine and returns the
+/// core result type. The equivalence suites compare Engine reports against
+/// the real-build reference in support/reference.hpp instead.
 inline core::CountResult engine_count(const graph::CsrGraph& g,
                                       const core::RunSpec& spec,
                                       const core::TriangleSink* sink = nullptr) {

@@ -9,7 +9,7 @@
 namespace katric::test {
 
 /// Field-by-field equality of two CountResults — the bit-identical
-/// reuse-equivalence check shared by the Engine and warm-Engine suites.
+/// reuse-equivalence check shared by the Engine equivalence suites.
 /// Extend this ONE helper when CountResult grows a metric.
 inline void expect_identical_counts(const core::CountResult& a,
                                     const core::CountResult& b,
