@@ -83,7 +83,8 @@ struct AlgorithmOptions {
     /// (Mattern four-counter over control messages) instead of the
     /// simulator's omniscient quiescence check. Costs extra α per report —
     /// the honesty tax a native MPI implementation pays. Supported by the
-    /// edge-iterator family (DITRIC/DITRIC2/unbuffered).
+    /// whole edge-iterator family (unbuffered, DITRIC/DITRIC2 and
+    /// CETRIC/CETRIC2); the baselines and CETRIC-AMQ ignore it.
     bool detect_termination = false;
     /// Optional dispatch-mix sink threaded into every AdaptiveIntersect the
     /// run constructs (kernel chosen × operand-size bucket, hub hit/miss).

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "amq/bloom.hpp"
-#include "core/cetric.hpp"
+#include "core/dist_edge_iterator.hpp"
 #include "graph/builder.hpp"
 #include "net/collectives.hpp"
 #include "util/assert.hpp"
@@ -36,31 +36,9 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
 
     apply_preprocessing(sim, views, Algorithm::kCetric, spec.options, replay, hubs);
 
-    // --- exact local phase (identical to CETRIC's) -----------------------
-    std::vector<std::uint64_t> local_counts(p, 0);
-    sim.run_phase("local", [&](net::RankHandle& self) {
-        const Rank r = self.rank();
-        const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(spec.options.intersect, hub_index(hubs, r),
-                                           spec.options.kernel_stats);
-        auto process = [&](VertexId v, std::span<const VertexId> a_v) {
-            for (VertexId u : a_v) {
-                local_counts[r] +=
-                    charged_intersect(self, a_v, view.a_set(u), isect, v, u);
-            }
-        };
-        for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
-             ++v) {
-            process(v, view.out_neighbors(v));
-        }
-        for (std::size_t g = 0; g < view.num_ghosts(); ++g) {
-            process(view.ghost_id(g), view.ghost_out_neighbors(g));
-        }
-    }, {});
-
-    sim.run_phase("contraction", [&](net::RankHandle& self) {
-        self.charge_ops(views[self.rank()].num_local_half_edges());
-    }, {});
+    // --- exact local phase and contraction (CETRIC's) ---------------------
+    const auto local_counts = count_local_phase(sim, views, spec.options,
+                                                /*contracted=*/true, nullptr, hubs);
 
     // --- approximate global phase ----------------------------------------
     const net::DirectRouter router;
@@ -125,14 +103,8 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
             for (VertexId v = view.first_local();
                  v < view.first_local() + view.num_local(); ++v) {
                 const auto a_v = view.contracted_out_neighbors(v);
-                if (a_v.empty()) { continue; }
                 record.clear();
-                Rank last = r;
-                for (VertexId u : a_v) {
-                    self.charge_ops(1);
-                    const Rank owner = view.partition().rank_of(u);
-                    if (owner == last) { continue; }
-                    last = owner;
+                for_each_surrogate(self, view, a_v, [&](Rank owner) {
                     if (record.empty()) {
                         auto filter = amq::BloomFilter::with_fpr(
                             a_v.size(), amq.target_fpr, amq.seed ^ katric::hash64(v));
@@ -158,7 +130,7 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                         }
                     }
                     queues[r].post(self, owner, record);
-                }
+                });
             }
         },
         [&](net::RankHandle& self, Rank /*src*/, int tag,

@@ -1,6 +1,5 @@
 #include "core/dist_edge_iterator.hpp"
 
-#include <memory>
 #include <vector>
 
 #include "core/hybrid.hpp"
@@ -35,17 +34,17 @@ std::uint64_t intersect_for(net::RankHandle& self, std::span<const VertexId> a,
 
 }  // namespace
 
-CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>& views,
-                              const AlgorithmOptions& options, EdgeIteratorMode mode,
-                              const TriangleSink* sink, const HubIndices* hubs) {
+std::vector<std::uint64_t> count_local_phase(net::Simulator& sim,
+                                             const std::vector<DistGraph>& views,
+                                             const AlgorithmOptions& options,
+                                             bool contracted, const TriangleSink* sink,
+                                             const HubIndices* hubs) {
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
-    CountResult result;
+    std::vector<std::uint64_t> counts(p, 0);
 
-    std::vector<std::uint64_t> local_counts(p, 0);
-    std::vector<std::uint64_t> global_counts(p, 0);
-
-    // --- local phase: edges with both endpoints local -------------------
+    // Edges with both endpoints local — or, contracted, every edge of the
+    // expanded graph V_i ∪ ∂V_i (Alg. 3 lines 5–7).
     sim.run_phase("local", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
@@ -53,19 +52,26 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
                                            options.kernel_stats);
         ThreadBinner binner(options.threads);
         const bool hybrid = options.threads > 1 && sink == nullptr;
+        auto process = [&](VertexId v, std::span<const VertexId> a_v) {
+            for (const VertexId u : a_v) {
+                if (!contracted && !view.is_local(u)) { continue; }
+                const auto a_u = view.a_set(u);
+                if (hybrid) {
+                    const auto res = isect.count(a_v, a_u, v, u);
+                    binner.add_task(res.ops);
+                    counts[r] += res.count;
+                } else {
+                    counts[r] += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
+                }
+            }
+        };
         for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
              ++v) {
-            const auto out_v = view.out_neighbors(v);
-            for (VertexId u : out_v) {
-                if (!view.is_local(u)) { continue; }
-                if (hybrid) {
-                    const auto res = isect.count(out_v, view.out_neighbors(u), v, u);
-                    binner.add_task(res.ops);
-                    local_counts[r] += res.count;
-                } else {
-                    local_counts[r] += intersect_for(self, out_v, view.out_neighbors(u),
-                                                     isect, sink, v, u, 1);
-                }
+            process(v, view.out_neighbors(v));
+        }
+        if (contracted) {
+            for (std::size_t g = 0; g < view.num_ghosts(); ++g) {
+                process(view.ghost_id(g), view.ghost_out_neighbors(g));
             }
         }
         if (hybrid) {
@@ -73,6 +79,33 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
                                 * self.config().compute_op);
         }
     }, {});
+
+    if (contracted) {
+        // Alg. 3 line 8: the contracted adjacency was materialized during
+        // preprocessing; the phase charges the linear pass that drops
+        // non-cut edges.
+        sim.run_phase("contraction", [&](net::RankHandle& self) {
+            self.charge_ops(views[self.rank()].num_local_half_edges());
+        }, {});
+    }
+    return counts;
+}
+
+CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>& views,
+                              const AlgorithmOptions& options, EdgeIteratorMode mode,
+                              const TriangleSink* sink, const HubIndices* hubs) {
+    const Rank p = sim.num_ranks();
+    CountResult result;
+
+    const auto local_counts =
+        count_local_phase(sim, views, options, mode.contracted, sink, hubs);
+    std::vector<std::uint64_t> global_counts(p, 0);
+
+    // The shipped and intersected row of a local vertex: A(v), or the
+    // contracted Ac(v), which holds only non-local vertices.
+    auto row = [&](const DistGraph& view, VertexId v) {
+        return mode.contracted ? view.contracted_out_neighbors(v) : view.out_neighbors(v);
+    };
 
     // --- global phase: neighborhoods across cut edges --------------------
     const net::DirectRouter direct;
@@ -92,8 +125,8 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
     net::TerminationDetector detector(p);
     const bool detect = options.detect_termination;
 
-    // A received record is [v, A(v)...] — or [v, |A|, packed...] when
-    // neighborhood compression is on; intersect with A(u) for local u.
+    // A received record is [v, row(v)...] — or [v, |row|, packed...] when
+    // neighborhood compression is on; intersect with row(u) for local u.
     const bool compress = options.compress_neighborhoods;
     std::vector<VertexId> decoded;
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
@@ -116,8 +149,8 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
         }
         for (const VertexId u : a_v) {
             if (!view.is_local(u)) { continue; }
-            global_counts[r] += intersect_for(self, a_v, view.out_neighbors(u), isect,
-                                              sink, v, u, options.threads);
+            global_counts[r] += intersect_for(self, a_v, row(view, u), isect, sink, v, u,
+                                              options.threads);
         }
     };
 
@@ -129,23 +162,17 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
             net::WordVec record;
             for (VertexId v = view.first_local();
                  v < view.first_local() + view.num_local(); ++v) {
-                const auto out_v = view.out_neighbors(v);
+                const auto a_v = row(view, v);
                 record.clear();
-                Rank last = r;  // r is never a send target for its own vertices
-                for (VertexId u : out_v) {
-                    self.charge_ops(1);
-                    if (view.is_local(u)) { continue; }
-                    const Rank owner = view.partition().rank_of(u);
-                    if (owner == last) { continue; }  // surrogate: already sent there
-                    last = owner;
+                for_each_surrogate(self, view, a_v, [&](Rank owner) {
                     if (record.empty()) {
                         record.push_back(v);
                         if (compress) {
-                            record.push_back(out_v.size());
-                            net::encode_sorted(out_v, record);
-                            self.charge_ops(out_v.size());
+                            record.push_back(a_v.size());
+                            net::encode_sorted(a_v, record);
+                            self.charge_ops(a_v.size());
                         } else {
-                            record.insert(record.end(), out_v.begin(), out_v.end());
+                            record.insert(record.end(), a_v.begin(), a_v.end());
                         }
                     }
                     if (detect) { detector.note_sent(r); }
@@ -157,7 +184,7 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
                         // katric-lint: allow(raw-send): unbuffered by design
                         self.send(owner, record, kTagCount);
                     }
-                }
+                });
             }
         },
         [&](net::RankHandle& self, Rank src, int tag,

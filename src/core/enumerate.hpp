@@ -1,6 +1,5 @@
 #pragma once
 
-#include <vector>
 
 #include "core/runner.hpp"
 
@@ -17,12 +16,6 @@ struct Triangle {
     VertexId c;
 
     friend constexpr auto operator<=>(const Triangle&, const Triangle&) = default;
-};
-
-struct EnumerateResult {
-    std::vector<Triangle> triangles;          ///< sorted, canonical
-    std::vector<std::size_t> found_per_rank;  ///< emission counts (load profile)
-    CountResult count;
 };
 
 }  // namespace katric::core

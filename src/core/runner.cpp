@@ -1,6 +1,5 @@
 #include "core/runner.hpp"
 
-#include "core/cetric.hpp"
 #include "core/dist_edge_iterator.hpp"
 #include "core/havoqgt_baseline.hpp"
 #include "core/tric_baseline.hpp"
@@ -43,9 +42,15 @@ CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>
                                      EdgeIteratorMode{.buffered = true, .indirect = true},
                                      sink, hubs);
         case Algorithm::kCetric:
-            return run_cetric(sim, views, spec.options, /*indirect=*/false, sink, hubs);
+            return run_edge_iterator(
+                sim, views, spec.options,
+                EdgeIteratorMode{.buffered = true, .indirect = false, .contracted = true},
+                sink, hubs);
         case Algorithm::kCetric2:
-            return run_cetric(sim, views, spec.options, /*indirect=*/true, sink, hubs);
+            return run_edge_iterator(
+                sim, views, spec.options,
+                EdgeIteratorMode{.buffered = true, .indirect = true, .contracted = true},
+                sink, hubs);
         case Algorithm::kTricStyle: return run_tric_style(sim, views, spec.options);
         case Algorithm::kHavoqgtStyle: return run_havoqgt_style(sim, views, spec.options);
     }

@@ -189,29 +189,31 @@ void Engine::finalize(Report& report, const net::Simulator& sim, double wall_sec
     queries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) {
+Report Engine::run_query(Query kind, const QueryOptions& query,
+                         std::optional<core::Algorithm> algorithm, bool arm,
+                         const QueryBody& body) {
     WallTimer timer;
     auto spec = query_spec(query);
+    if (algorithm) { spec.algorithm = *algorithm; }
     // Query-local dispatch-mix recording: merged into the session totals on
     // finalize, so concurrent queries never write one shared sink.
     obs::KernelStats kernel_stats;
     const bool record_kernels = obs_ && obs_->metrics_enabled();
     if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
     Report report;
-    report.query = Query::kCount;
+    report.query = kind;
     report.algorithm = spec.algorithm;
     report.reused_preprocessing = !config_.charge_preprocessing;
     const auto prepared = prepare(spec);
-    // The guard is declared before the simulator everywhere: arm_simulator
-    // lends the simulator the guard's stats/cancel pointers, so the borrower
-    // must be destroyed first.
+    // The guard is declared before the simulator: arm_simulator lends the
+    // simulator the guard's stats/cancel pointers, so the borrower must be
+    // destroyed first.
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
     if (obs_) { sim.record_phase_details(true); }
-    arm_simulator(sim, query, guard);
+    if (arm) { arm_simulator(sim, query, guard); }
     try {
-        report.count = core::dispatch_algorithm(sim, views_, spec, sink, prepared.replay,
-                                                prepared.hubs);
+        body(sim, spec, prepared, report);
     } catch (const net::OomError&) {
         report.count.oom = true;
         core::fill_metrics(sim, report.count);
@@ -225,6 +227,17 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
     record_faults(report, guard);
     finalize(report, sim, timer.elapsed_seconds(),
              record_kernels ? &kernel_stats : nullptr);
+    return report;
+}
+
+Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) {
+    Report report = run_query(
+        Query::kCount, query, std::nullopt, /*arm=*/true,
+        [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
+            Report& out) {
+            out.count = core::dispatch_algorithm(sim, views_, spec, sink, prepared.replay,
+                                                 prepared.hubs);
+        });
     if (sink == nullptr && report.error.domain == Error::Domain::kNet
         && query.recovery.value_or(config_.recovery)
                == fault::RecoveryPolicy::kDegrade) {
@@ -245,38 +258,17 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
 }
 
 Report Engine::lcc(const QueryOptions& query) {
-    WallTimer timer;
-    auto spec = query_spec(query);
-    obs::KernelStats kernel_stats;
-    const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
-    Report report;
-    report.query = Query::kLcc;
-    report.algorithm = spec.algorithm;
-    report.reused_preprocessing = !config_.charge_preprocessing;
-    const auto prepared = prepare(spec);
-    QueryGuard guard;
-    net::Simulator sim(spec.num_ranks, spec.network);
-    if (obs_) { sim.record_phase_details(true); }
-    arm_simulator(sim, query, guard);
-    try {
-        auto result = core::compute_distributed_lcc(sim, views_, *graph_, spec,
-                                                    prepared.replay, prepared.hubs);
-        report.count = std::move(result.count);
-        report.delta = std::move(result.delta);
-        report.lcc = std::move(result.lcc);
-        report.postprocess_time = result.postprocess_time;
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
+    return run_query(
+        Query::kLcc, query, std::nullopt, /*arm=*/true,
+        [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
+            Report& out) {
+            auto result = core::compute_distributed_lcc(sim, views_, *graph_, spec,
+                                                        prepared.replay, prepared.hubs);
+            out.count = std::move(result.count);
+            out.delta = std::move(result.delta);
+            out.lcc = std::move(result.lcc);
+            out.postprocess_time = result.postprocess_time;
+        });
 }
 
 Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& query) {
@@ -317,44 +309,21 @@ Report Engine::approx_count(const QueryOptions& query) {
 }
 
 Report Engine::approx_impl(const QueryOptions& query, bool arm) {
-    WallTimer timer;
-    auto spec = query_spec(query);
-    obs::KernelStats kernel_stats;
-    const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
     const auto& amq = query.amq ? *query.amq : config_.amq;
-    Report report;
-    report.query = Query::kApprox;
     // The AMQ query always runs the CETRIC-AMQ pipeline (exact CETRIC local
     // phase + Bloom-filter global phase), whatever Config::algorithm says —
     // label the report and prepare the hub indices accordingly.
-    report.algorithm = core::Algorithm::kCetric;
-    report.reused_preprocessing = !config_.charge_preprocessing;
-    auto cetric_spec = spec;
-    cetric_spec.algorithm = core::Algorithm::kCetric;
-    const auto prepared = prepare(cetric_spec);
-    QueryGuard guard;
-    net::Simulator sim(spec.num_ranks, spec.network);
-    if (obs_) { sim.record_phase_details(true); }
-    if (arm) { arm_simulator(sim, query, guard); }
-    try {
-        auto result = core::count_triangles_cetric_amq(sim, views_, spec, amq,
-                                                       prepared.replay, prepared.hubs);
-        report.count = std::move(result.metrics);
-        report.estimated_triangles = result.estimated_triangles;
-        report.exact_type12 = result.exact_type12;
-        report.estimated_type3 = result.estimated_type3;
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
+    return run_query(
+        Query::kApprox, query, core::Algorithm::kCetric, arm,
+        [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
+            Report& out) {
+            auto result = core::count_triangles_cetric_amq(sim, views_, spec, amq,
+                                                           prepared.replay, prepared.hubs);
+            out.count = std::move(result.metrics);
+            out.estimated_triangles = result.estimated_triangles;
+            out.exact_type12 = result.exact_type12;
+            out.estimated_type3 = result.estimated_type3;
+        });
 }
 
 StreamSession Engine::open_stream() {
@@ -490,19 +459,6 @@ Report StreamSession::report() const {
         report.lcc = lcc_->lcc();
     }
     return report;
-}
-
-stream::StreamResult StreamSession::result() const {
-    // StreamResult is a projection of the unified Report.
-    auto report = StreamSession::report();
-    stream::StreamResult result;
-    result.initial = std::move(report.initial);
-    result.batches = std::move(report.batches);
-    result.triangles = report.count.triangles;
-    result.stream_seconds = report.stream_seconds;
-    result.delta = std::move(report.delta);
-    result.lcc = std::move(report.lcc);
-    return result;
 }
 
 }  // namespace katric

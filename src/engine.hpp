@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -58,8 +59,6 @@ public:
     /// The unified result surface: a kStream Report reflecting everything
     /// ingested so far. Callable between batches.
     [[nodiscard]] Report report() const;
-    /// The stream::StreamResult projection of report().
-    [[nodiscard]] stream::StreamResult result() const;
 
     ~StreamSession();
 
@@ -378,6 +377,19 @@ private:
     /// Folds a finished (or failed) hardened run into the report and the
     /// metrics registry: hardened/degraded flags, fault counters.
     void record_faults(Report& report, const QueryGuard& guard);
+
+    /// Runs one query's payload on a fresh simulated machine and fills the
+    /// report around it.
+    using QueryBody = std::function<void(net::Simulator&, const core::RunSpec&,
+                                         const Prepared&, Report&)>;
+    /// The scaffold every counting query shares: the spec with the query's
+    /// overrides (and `algorithm`, when forced) and a query-local
+    /// KernelStats, prepare(), the guard-armed simulator (`arm` gates the
+    /// hardened layer), the typed OOM/fault/deadline failures, then
+    /// record_faults and finalize. `body` fills the query's payload.
+    Report run_query(Query kind, const QueryOptions& query,
+                     std::optional<core::Algorithm> algorithm, bool arm,
+                     const QueryBody& body);
 
     const graph::CsrGraph* graph_;
     Config config_;

@@ -28,8 +28,9 @@ enum class Query {
 
 /// The one result type every Engine query returns: the exact count and paper
 /// metrics (CountResult), kernel ops telemetry, and the query-specific
-/// payloads — replacing the incompatible per-entry-point result structs
-/// (CountResult / LccResult / EnumerateResult / AmqResult / StreamResult).
+/// payloads. The core entry points keep their own result types
+/// (CountResult / LccResult / AmqResult); enumeration and streaming report
+/// through this struct alone.
 /// Only the sections of the producing query are populated; the rest stay at
 /// their defaults.
 struct Report {

@@ -218,7 +218,8 @@ TEST_P(TerminationDetectionTest, ProtocolCostsExtraMessagesOnly) {
 
 INSTANTIATE_TEST_SUITE_P(EdgeIteratorFamily, TerminationDetectionTest,
                          ::testing::Values(Algorithm::kDitric, Algorithm::kDitric2,
-                                           Algorithm::kEdgeIteratorUnbuffered));
+                                           Algorithm::kEdgeIteratorUnbuffered,
+                                           Algorithm::kCetric, Algorithm::kCetric2));
 
 }  // namespace
 }  // namespace katric::core

@@ -132,7 +132,7 @@ TEST(EngineEquivalence, StreamPromotionMatchesFreshEngineStreaming) {
             maintain_lcc ? test::reference_lcc(base, config.run_spec()).count
                          : test::reference_count(base, config.run_spec()),
             "stream initial vs real build");
-        EXPECT_EQ(report.count.triangles, fresh.triangles);
+        EXPECT_EQ(report.count.triangles, fresh.count.triangles);
         EXPECT_EQ(report.stream_seconds, fresh.stream_seconds);
         ASSERT_EQ(report.batches.size(), fresh.batches.size());
         for (std::size_t i = 0; i < report.batches.size(); ++i) {

@@ -4,7 +4,9 @@
 // engine — across every algorithm, both partition strategies, and with the
 // preprocessing charge on and off. Plus the admission layer: bounded-queue
 // overflow rejects with a typed ServeError::kRejected, a drained session
-// answers kStopped, and stream requests answer kUnsupported.
+// answers kStopped, and stream requests answer kUnsupported. An exhausted
+// per-PE memory budget is a report (count.oom), never an exception, for
+// every query kind — served or direct.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
+#include "gen/rmat.hpp"
 #include "support/expect_report.hpp"
 #include "support/test_graphs.hpp"
 
@@ -286,6 +289,29 @@ TEST(EngineServe, ConfigDefaultsFeedServeOptions) {
     auto tuned = engine.serve(override_options);
     EXPECT_EQ(tuned.threads(), 2);
     EXPECT_EQ(tuned.queue_depth(), 9u);
+}
+
+TEST(EngineServe, OutOfMemoryIsAReportForEveryQueryKind) {
+    const auto g = gen::generate_rmat(12, 1 << 15, 5);
+    Config config;
+    config.network.memory_limit_words = 64;
+    Engine engine(g, config);
+    auto session = engine.serve();
+    for (const Query query :
+         {Query::kCount, Query::kLcc, Query::kEnumerate, Query::kApprox}) {
+        ServeRequest request;
+        request.query = query;
+        Report direct;
+        ASSERT_NO_THROW(direct = run_sequential(engine, request)) << query_name(query);
+        EXPECT_TRUE(direct.count.oom) << query_name(query);
+        EXPECT_FALSE(direct.ok()) << query_name(query);
+
+        auto future = session.submit(request);
+        Report served;
+        ASSERT_NO_THROW(served = future.get()) << query_name(query);
+        EXPECT_TRUE(served.count.oom) << query_name(query);
+        EXPECT_FALSE(served.ok()) << query_name(query);
+    }
 }
 
 }  // namespace

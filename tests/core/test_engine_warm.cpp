@@ -219,7 +219,7 @@ TEST(EngineWarm, StreamInterleavedWithStaticQueriesStaysExact) {
         EXPECT_TRUE(report.reused_preprocessing)
             << "a skipped stream's initial pass charged no preprocessing";
         EXPECT_EQ(report.initial.triangles, fresh.initial.triangles);
-        EXPECT_EQ(report.count.triangles, fresh.triangles);
+        EXPECT_EQ(report.count.triangles, fresh.count.triangles);
         ASSERT_EQ(report.batches.size(), fresh.batches.size());
         for (std::size_t i = 0; i < report.batches.size(); ++i) {
             EXPECT_EQ(report.batches[i].triangles, fresh.batches[i].triangles);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.hpp"
+#include "engine.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
 #include "support/test_graphs.hpp"
@@ -72,6 +73,24 @@ TEST(Hybrid, MoreThreadsShrinkLocalPhaseTime) {
     EXPECT_EQ(single.triangles, hybrid.triangles);
     EXPECT_LT(hybrid.local_time, single.local_time);
     EXPECT_GT(hybrid.local_time, single.local_time / 14.0);  // no superlinear magic
+}
+
+TEST(Hybrid, AmqLocalPhaseMatchesCetric) {
+    // CETRIC-AMQ's exact local phase is CETRIC's, hybrid threads included.
+    const auto g = gen::generate_rmat(11, 1 << 14, 19);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        Config config;
+        config.num_ranks = 4;
+        config.options.threads = threads;
+        Engine engine(g, config);
+        const auto cetric = engine.count(Algorithm::kCetric);
+        const auto approx = engine.approx_count();
+        ASSERT_TRUE(cetric.ok());
+        ASSERT_TRUE(approx.ok());
+        EXPECT_EQ(approx.exact_type12, cetric.count.local_phase_triangles);
+        EXPECT_EQ(approx.count.local_time, cetric.count.local_time);
+    }
 }
 
 TEST(Hybrid, FewerFatterRanksReduceCommunicationVolume) {

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "graph/builder.hpp"
+#include "support/temp_dir.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::graph {
@@ -17,7 +18,7 @@ namespace {
 class IoTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "katric_io_test";
+        dir_ = katric::test::unique_temp_dir("katric_io_test");
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -81,7 +82,7 @@ namespace {
 class MetisIoTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "katric_metis_test";
+        dir_ = katric::test::unique_temp_dir("katric_metis_test");
         std::filesystem::create_directories(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -10,6 +10,7 @@
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "support/engine_query.hpp"
+#include "support/temp_dir.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric {
@@ -38,7 +39,7 @@ TEST(Pipeline, GenerateDistributeCountValidateEveryProxy) {
 }
 
 TEST(Pipeline, FileRoundTripThenDistributedCount) {
-    const auto dir = std::filesystem::temp_directory_path() / "katric_pipeline";
+    const auto dir = test::unique_temp_dir("katric_pipeline");
     std::filesystem::create_directories(dir);
     const auto g = gen::build_proxy("europe");
     const auto path = (dir / "europe.ktrb").string();

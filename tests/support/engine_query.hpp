@@ -8,8 +8,9 @@ namespace katric::test {
 
 /// One-query helpers for tests that only need "run query X on graph G under
 /// spec S": each routes through a temporary katric::Engine and returns the
-/// core result type. The equivalence suites compare Engine reports against
-/// the real-build reference in support/reference.hpp instead.
+/// core result type, or the Report itself where no core type exists
+/// (enumerate, stream). The equivalence suites compare Engine reports
+/// against the real-build reference in support/reference.hpp instead.
 inline core::CountResult engine_count(const graph::CsrGraph& g,
                                       const core::RunSpec& spec,
                                       const core::TriangleSink* sink = nullptr) {
@@ -28,15 +29,9 @@ inline core::LccResult engine_lcc(const graph::CsrGraph& g, const core::RunSpec&
     return result;
 }
 
-inline core::EnumerateResult engine_enumerate(const graph::CsrGraph& g,
-                                              const core::RunSpec& spec) {
+inline Report engine_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
     Engine engine(g, Config::from_run_spec(spec));
-    auto report = engine.enumerate();
-    core::EnumerateResult result;
-    result.count = std::move(report.count);
-    result.triangles = std::move(report.triangles);
-    result.found_per_rank = std::move(report.found_per_rank);
-    return result;
+    return engine.enumerate();
 }
 
 inline core::AmqResult engine_approx(const graph::CsrGraph& g,
@@ -52,7 +47,7 @@ inline core::AmqResult engine_approx(const graph::CsrGraph& g,
     return result;
 }
 
-inline stream::StreamResult engine_stream(const graph::CsrGraph& initial,
+inline Report engine_stream(const graph::CsrGraph& initial,
                                           const std::vector<stream::EdgeBatch>& batches,
                                           const stream::StreamRunSpec& spec,
                                           const stream::BatchObserver& observer = {}) {
@@ -62,7 +57,7 @@ inline stream::StreamResult engine_stream(const graph::CsrGraph& initial,
         const auto& stats = session.ingest(batch);
         if (observer) { observer(stats); }
     }
-    return session.result();
+    return session.report();
 }
 
 }  // namespace katric::test

@@ -5,8 +5,8 @@
 
 #include "core/approx.hpp"
 #include "core/dist_lcc.hpp"
-#include "core/enumerate.hpp"
 #include "core/runner.hpp"
+#include "report.hpp"
 
 namespace katric::test {
 
@@ -60,10 +60,11 @@ inline core::LccResult reference_lcc(const graph::CsrGraph& g,
 }
 
 /// Canonical sorted triangle list plus per-rank find counts, collected the
-/// way Engine::enumerate collects them.
-inline core::EnumerateResult reference_enumerate(const graph::CsrGraph& g,
-                                                 const core::RunSpec& spec) {
-    core::EnumerateResult result;
+/// way Engine::enumerate collects them into a kEnumerate Report.
+inline Report reference_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
+    Report result;
+    result.query = Query::kEnumerate;
+    result.algorithm = spec.algorithm;
     result.found_per_rank.assign(spec.num_ranks, 0);
     const core::TriangleSink sink = [&](core::Rank finder, core::VertexId v,
                                         core::VertexId u, core::VertexId w) {
