@@ -70,7 +70,9 @@ struct AlgorithmOptions {
     /// intuition that hubs are the far tail of the degree distribution.
     graph::Degree hub_threshold = 0;
     /// Hybrid mode: threads per MPI rank for the local phase (Section IV-D);
-    /// 1 = plain MPI variant.
+    /// 1 = plain MPI variant. A *simulated* model, charged to simulated
+    /// time only — unrelated to the host threads that run the simulation
+    /// (util::WorkerPool).
     int threads = 1;
     /// PEs per compute node, used by the HavoqGT-style baseline's two-level
     /// (node-aggregating) router. 1 disables node aggregation.
@@ -86,18 +88,33 @@ struct AlgorithmOptions {
     /// whole edge-iterator family (unbuffered, DITRIC/DITRIC2 and
     /// CETRIC/CETRIC2); the baselines and CETRIC-AMQ ignore it.
     bool detect_termination = false;
-    /// Optional dispatch-mix sink threaded into every AdaptiveIntersect the
-    /// run constructs (kernel chosen × operand-size bucket, hub hit/miss).
-    /// Not a tuning knob and never serialized to flags: katric::Engine sets
-    /// it on its per-query option copy when metrics are enabled; null keeps
-    /// recording disabled.
+    /// Optional dispatch-mix sinks threaded into every AdaptiveIntersect the
+    /// run constructs (kernel chosen × operand-size bucket, hub hit/miss):
+    /// points at one KernelStats per rank, and rank r records only into
+    /// kernel_stats[r] (see rank_kernel_stats). Not a tuning knob and never
+    /// serialized to flags: katric::Engine sets it on its per-query option
+    /// copy when metrics are enabled; null keeps recording disabled.
     obs::KernelStats* kernel_stats = nullptr;
 
     friend bool operator==(const AlgorithmOptions&, const AlgorithmOptions&) = default;
 };
 
+/// Rank r's dispatch-mix sink, or nullptr when recording is off.
+[[nodiscard]] inline obs::KernelStats* rank_kernel_stats(const AlgorithmOptions& options,
+                                                         Rank r) noexcept {
+    return options.kernel_stats == nullptr ? nullptr : options.kernel_stats + r;
+}
+
 /// Optional triangle observer: called once per found triangle with the
 /// finding rank and the triangle's vertices. Basis of the LCC extension.
+///
+/// Contract: a sink may be called for different finder ranks at the same
+/// time (the simulator runs ranks' start and idle callbacks concurrently
+/// when it has a worker pool), never twice at once for the same finder. So
+/// a sink writes only state owned by the finder rank — the built-in ones
+/// do: the LCC Δ accumulators and the enumerate collector's buckets are
+/// per finder. katric::Engine serializes a caller's own sink, running every
+/// rank of such a query one after another.
 using TriangleSink = std::function<void(Rank finder, VertexId v, VertexId u, VertexId w)>;
 
 /// Everything the paper reports per run: the count, simulated phase times,

@@ -53,7 +53,7 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         const Rank r = self.rank();
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(spec.options.intersect, hub_index(hubs, r),
-                                           spec.options.kernel_stats);
+                                           rank_kernel_stats(spec.options, r));
         KATRIC_ASSERT(record.size() >= 2);
         const VertexId v = record[0];
         const std::uint64_t kind = record[1];

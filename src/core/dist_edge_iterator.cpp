@@ -49,9 +49,12 @@ std::vector<std::uint64_t> count_local_phase(net::Simulator& sim,
         const Rank r = self.rank();
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
-                                           options.kernel_stats);
+                                           rank_kernel_stats(options, r));
         ThreadBinner binner(options.threads);
         const bool hybrid = options.threads > 1 && sink == nullptr;
+        // Accumulated here and stored once: ranks run concurrently, and
+        // neighbouring counts[] slots share a cache line.
+        std::uint64_t found = 0;
         auto process = [&](VertexId v, std::span<const VertexId> a_v) {
             for (const VertexId u : a_v) {
                 if (!contracted && !view.is_local(u)) { continue; }
@@ -59,9 +62,9 @@ std::vector<std::uint64_t> count_local_phase(net::Simulator& sim,
                 if (hybrid) {
                     const auto res = isect.count(a_v, a_u, v, u);
                     binner.add_task(res.ops);
-                    counts[r] += res.count;
+                    found += res.count;
                 } else {
-                    counts[r] += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
+                    found += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
                 }
             }
         };
@@ -78,6 +81,7 @@ std::vector<std::uint64_t> count_local_phase(net::Simulator& sim,
             self.charge_seconds(static_cast<double>(binner.makespan_ops())
                                 * self.config().compute_op);
         }
+        counts[r] = found;
     }, {});
 
     if (contracted) {
@@ -134,7 +138,7 @@ CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>&
         if (detect) { detector.note_received(r); }
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(options.intersect, hub_index(hubs, r),
-                                           options.kernel_stats);
+                                           rank_kernel_stats(options, r));
         KATRIC_ASSERT(!record.empty());
         const VertexId v = record[0];
         std::span<const VertexId> a_v;

@@ -52,6 +52,9 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
         [&](net::RankHandle& self) {
             const Rank r = self.rank();
             const DistGraph& view = views[r];
+            // Added once: ranks run concurrently, and neighbouring counts[]
+            // slots share a cache line.
+            std::uint64_t closed = 0;
             for (VertexId v = view.first_local();
                  v < view.first_local() + view.num_local(); ++v) {
                 const auto out_v = view.out_neighbors(v);
@@ -64,7 +67,7 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
                         const VertexId u = out_v[i];
                         const VertexId w = out_v[j];
                         if (view.is_local(u)) {
-                            if (probe_edge(self, view, u, w)) { ++counts[r]; }
+                            if (probe_edge(self, view, u, w)) { ++closed; }
                         } else {
                             const std::uint64_t query[2] = {u, w};
                             queues[r].post(self, view.partition().rank_of(u),
@@ -73,6 +76,7 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
                     }
                 }
             }
+            counts[r] += closed;
         },
         [&](net::RankHandle& self, Rank /*src*/, int tag,
             std::span<const std::uint64_t> payload) {

@@ -1,6 +1,7 @@
 #include "engine.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "stream/incremental_lcc.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
+#include "util/worker_pool.hpp"
 
 namespace katric {
 
@@ -36,6 +38,12 @@ void accumulate_ops(Report& report, const net::Simulator& sim) {
         report.total_compute_ops += metrics.compute_ops;
         report.max_compute_ops = std::max(report.max_compute_ops, metrics.compute_ops);
     }
+}
+
+/// The pool a direct query runs its ranks on: the process-wide one, unless
+/// the query feeds a caller's sink, which then sees one call at a time.
+util::WorkerPool* direct_pool(const core::TriangleSink* caller_sink) {
+    return caller_sink == nullptr ? &util::WorkerPool::shared() : nullptr;
 }
 
 }  // namespace
@@ -168,38 +176,44 @@ core::RunSpec Engine::query_spec(const QueryOptions& query) const {
     auto spec = config_.run_spec();
     if (query.algorithm) { spec.algorithm = *query.algorithm; }
     if (query.options) { spec.options = *query.options; }
-    // The dispatch-mix sink is wired per query (a stack-local KernelStats in
-    // each query method, merged on finalize) — never Config itself, so flag
-    // round-trips and option equality stay pure, and concurrent queries
-    // never share a recording sink.
+    // The dispatch-mix sinks are wired per query (stack-local per-rank
+    // KernelStats in run_query, merged on finalize) — never Config itself,
+    // so flag round-trips and option equality stay pure, and concurrent
+    // queries never share a recording sink.
     spec.options.kernel_stats = nullptr;
     return spec;
 }
 
 void Engine::finalize(Report& report, const net::Simulator& sim, double wall_seconds,
-                      const obs::KernelStats* kernel_stats) {
+                      std::span<const obs::KernelStats> kernel_stats) {
     accumulate_ops(report, sim);
     report.phases = net::aggregate_phase_times(sim.phases());
     if (report.count.error != core::RunError::kNone) {
         report.error = make_error(report.count.error, report.algorithm);
     }
     if (obs_) {
-        obs_->observe_query(query_name(report.query), sim, wall_seconds, kernel_stats);
+        obs::KernelStats merged;
+        for (const auto& rank_stats : kernel_stats) { merged.merge(rank_stats); }
+        obs_->observe_query(query_name(report.query), sim, wall_seconds,
+                            kernel_stats.empty() ? nullptr : &merged);
     }
     queries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Report Engine::run_query(Query kind, const QueryOptions& query,
                          std::optional<core::Algorithm> algorithm, bool arm,
-                         const QueryBody& body) {
+                         util::WorkerPool* pool, const QueryBody& body) {
     WallTimer timer;
     auto spec = query_spec(query);
     if (algorithm) { spec.algorithm = *algorithm; }
-    // Query-local dispatch-mix recording: merged into the session totals on
-    // finalize, so concurrent queries never write one shared sink.
-    obs::KernelStats kernel_stats;
-    const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
+    // Query-local dispatch-mix recording, one sink per rank (ranks may run
+    // concurrently): merged into the session totals on finalize, so
+    // concurrent queries never write one shared sink either.
+    std::vector<obs::KernelStats> kernel_stats;
+    if (obs_ && obs_->metrics_enabled()) {
+        kernel_stats.resize(spec.num_ranks);
+        spec.options.kernel_stats = kernel_stats.data();
+    }
     Report report;
     report.query = kind;
     report.algorithm = spec.algorithm;
@@ -210,6 +224,7 @@ Report Engine::run_query(Query kind, const QueryOptions& query,
     // destroyed first.
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
+    sim.set_worker_pool(pool);
     if (obs_) { sim.record_phase_details(true); }
     if (arm) { arm_simulator(sim, query, guard); }
     try {
@@ -225,14 +240,30 @@ Report Engine::run_query(Query kind, const QueryOptions& query,
         core::fill_metrics(sim, report.count);
     }
     record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
+    finalize(report, sim, timer.elapsed_seconds(), kernel_stats);
     return report;
 }
 
 Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) {
+    return count_impl(sink, query, direct_pool(sink));
+}
+
+Report Engine::lcc(const QueryOptions& query) {
+    return lcc_impl(query, direct_pool(nullptr));
+}
+
+Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& query) {
+    return enumerate_impl(sink, query, direct_pool(sink));
+}
+
+Report Engine::approx_count(const QueryOptions& query) {
+    return approx_impl(query, /*arm=*/true, direct_pool(nullptr));
+}
+
+Report Engine::count_impl(const core::TriangleSink* sink, const QueryOptions& query,
+                          util::WorkerPool* pool) {
     Report report = run_query(
-        Query::kCount, query, std::nullopt, /*arm=*/true,
+        Query::kCount, query, std::nullopt, /*arm=*/true, pool,
         [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
             Report& out) {
             out.count = core::dispatch_algorithm(sim, views_, spec, sink, prepared.replay,
@@ -244,7 +275,7 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
         // Graceful degradation: the exact count could not be recovered, so
         // answer with the AMQ estimate — computed with injection off (the
         // faulty schedule already had its retries) — and say so explicitly.
-        Report fallback = approx_impl(query, /*arm=*/false);
+        Report fallback = approx_impl(query, /*arm=*/false, pool);
         fallback.query = Query::kCount;
         fallback.degraded = true;
         fallback.hardened = report.hardened;
@@ -257,9 +288,9 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
     return report;
 }
 
-Report Engine::lcc(const QueryOptions& query) {
+Report Engine::lcc_impl(const QueryOptions& query, util::WorkerPool* pool) {
     return run_query(
-        Query::kLcc, query, std::nullopt, /*arm=*/true,
+        Query::kLcc, query, std::nullopt, /*arm=*/true, pool,
         [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
             Report& out) {
             auto result = core::compute_distributed_lcc(sim, views_, *graph_, spec,
@@ -271,9 +302,16 @@ Report Engine::lcc(const QueryOptions& query) {
         });
 }
 
-Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& query) {
-    std::vector<core::Triangle> triangles;
-    std::vector<std::size_t> found_per_rank(config_.num_ranks, 0);
+Report Engine::enumerate_impl(const core::TriangleSink* sink, const QueryOptions& query,
+                              util::WorkerPool* pool) {
+    // One bucket per finder rank: finders may run concurrently and each
+    // writes only its own (the TriangleSink contract). A deque grows in
+    // chunks, never holding a doubled copy of itself while it grows.
+    struct alignas(64) Bucket {
+        std::deque<core::Triangle> triangles;
+        std::size_t found = 0;
+    };
+    std::vector<Bucket> buckets(config_.num_ranks);
     const core::TriangleSink collector = [&](core::Rank finder, core::VertexId v,
                                              core::VertexId u, core::VertexId w) {
         core::Triangle t{v, u, w};
@@ -282,15 +320,27 @@ Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& que
         if (t.a > t.b) { std::swap(t.a, t.b); }
         KATRIC_ASSERT_MSG(t.a < t.b && t.b < t.c,
                           "degenerate triangle " << v << ',' << u << ',' << w);
+        Bucket& bucket = buckets[finder];
         if (sink != nullptr) {
             (*sink)(finder, v, u, w);
         } else {
-            triangles.push_back(t);
+            bucket.triangles.push_back(t);
         }
-        ++found_per_rank[finder];
+        ++bucket.found;
     };
-    Report report = count(&collector, query);
+    Report report = count_impl(&collector, query, pool);
     report.query = Query::kEnumerate;
+    std::vector<core::Triangle> triangles;
+    if (sink == nullptr) {
+        std::size_t total = 0;
+        for (const auto& bucket : buckets) { total += bucket.triangles.size(); }
+        triangles.reserve(total);
+        for (auto& bucket : buckets) {
+            triangles.insert(triangles.end(), bucket.triangles.begin(),
+                             bucket.triangles.end());
+            std::deque<core::Triangle>().swap(bucket.triangles);  // free as we go
+        }
+    }
     if (sink == nullptr && report.ok()) {
         std::sort(triangles.begin(), triangles.end());
         KATRIC_ASSERT_MSG(std::adjacent_find(triangles.begin(), triangles.end())
@@ -300,21 +350,18 @@ Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& que
         KATRIC_ASSERT(triangles.size() == report.count.triangles);
     }
     report.triangles = std::move(triangles);
-    report.found_per_rank = std::move(found_per_rank);
+    report.found_per_rank.reserve(buckets.size());
+    for (const auto& bucket : buckets) { report.found_per_rank.push_back(bucket.found); }
     return report;
 }
 
-Report Engine::approx_count(const QueryOptions& query) {
-    return approx_impl(query, /*arm=*/true);
-}
-
-Report Engine::approx_impl(const QueryOptions& query, bool arm) {
+Report Engine::approx_impl(const QueryOptions& query, bool arm, util::WorkerPool* pool) {
     const auto& amq = query.amq ? *query.amq : config_.amq;
     // The AMQ query always runs the CETRIC-AMQ pipeline (exact CETRIC local
     // phase + Bloom-filter global phase), whatever Config::algorithm says —
     // label the report and prepare the hub indices accordingly.
     return run_query(
-        Query::kApprox, query, core::Algorithm::kCetric, arm,
+        Query::kApprox, query, core::Algorithm::kCetric, arm, pool,
         [&](net::Simulator& sim, const core::RunSpec& spec, const Prepared& prepared,
             Report& out) {
             auto result = core::count_triangles_cetric_amq(sim, views_, spec, amq,

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "config.hpp"
@@ -230,6 +231,15 @@ private:
 /// The graph must outlive the engine (the views reference its partition
 /// only; the graph itself is re-read when a query needs global degrees).
 ///
+/// Host parallelism: a query called directly on the engine runs the
+/// per-rank work of each superstep (every rank's start and idle callbacks)
+/// on all cores, through the process-wide util::WorkerPool. Queries served
+/// by a ServeSession run their ranks one after another on the worker thread
+/// — the session already keeps one query per worker busy — as do the one
+/// preprocessing build, StreamSession supersteps and any query that feeds a
+/// caller's TriangleSink, so the sink sees one call at a time, in a fixed
+/// order. There is no knob: reports are bit-identical either way.
+///
 /// Thread safety: queries may run concurrently from several threads
 /// (Engine::serve's worker pool, or direct calls). The one build runs under
 /// std::call_once before any query reads the views; hub indices for a new
@@ -301,7 +311,8 @@ public:
     }
 
     /// Exactly-once triangle enumeration. Without a sink the canonical
-    /// sorted list lands in Report::triangles; with a sink every find is
+    /// sorted list lands in Report::triangles (a failed run keeps what it
+    /// found, unsorted, grouped by finder rank); with a sink every find is
     /// forwarded to it instead (streaming enumeration — nothing collected).
     Report enumerate() { return enumerate(nullptr, QueryOptions{}); }
     Report enumerate(const QueryOptions& query) { return enumerate(nullptr, query); }
@@ -336,17 +347,30 @@ public:
     [[nodiscard]] ServeSession serve(const ServeOptions& options = {});
 
 private:
+    friend struct ServeSession::Impl;
+
     Report enumerate(const core::TriangleSink* sink, const QueryOptions& query);
+
+    // The query bodies behind the public methods. `pool` runs each
+    // superstep's rank callbacks: the process-wide pool for a direct query,
+    // null (ranks one after another on the calling thread) for a served
+    // query or one feeding a caller's sink.
+    Report count_impl(const core::TriangleSink* sink, const QueryOptions& query,
+                      util::WorkerPool* pool);
+    Report lcc_impl(const QueryOptions& query, util::WorkerPool* pool);
+    Report enumerate_impl(const core::TriangleSink* sink, const QueryOptions& query,
+                          util::WorkerPool* pool);
     /// approx_count body; `arm` gates the hardened layer so the kDegrade
     /// fallback can run approximate counting with injection off (retrying
     /// the same faulty machine would be pointless).
-    Report approx_impl(const QueryOptions& query, bool arm);
+    Report approx_impl(const QueryOptions& query, bool arm, util::WorkerPool* pool);
     /// Ops telemetry, per-phase breakdown, typed-error propagation, and
     /// observability recording shared by every query. `wall_seconds` is the
     /// query's host-side latency (the serving p50/p99 substrate);
-    /// `kernel_stats` the query-local dispatch mix to merge (null = none).
+    /// `kernel_stats` the query's per-rank dispatch mix, merged in rank
+    /// order (empty = none recorded).
     void finalize(Report& report, const net::Simulator& sim, double wall_seconds,
-                  const obs::KernelStats* kernel_stats = nullptr);
+                  std::span<const obs::KernelStats> kernel_stats);
     /// Config::run_spec with the query's overrides applied.
     [[nodiscard]] core::RunSpec query_spec(const QueryOptions& query) const;
 
@@ -383,13 +407,14 @@ private:
     using QueryBody = std::function<void(net::Simulator&, const core::RunSpec&,
                                          const Prepared&, Report&)>;
     /// The scaffold every counting query shares: the spec with the query's
-    /// overrides (and `algorithm`, when forced) and a query-local
+    /// overrides (and `algorithm`, when forced) and query-local per-rank
     /// KernelStats, prepare(), the guard-armed simulator (`arm` gates the
-    /// hardened layer), the typed OOM/fault/deadline failures, then
-    /// record_faults and finalize. `body` fills the query's payload.
+    /// hardened layer) running its ranks on `pool`, the typed
+    /// OOM/fault/deadline failures, then record_faults and finalize. `body`
+    /// fills the query's payload.
     Report run_query(Query kind, const QueryOptions& query,
                      std::optional<core::Algorithm> algorithm, bool arm,
-                     const QueryBody& body);
+                     util::WorkerPool* pool, const QueryBody& body);
 
     const graph::CsrGraph* graph_;
     Config config_;

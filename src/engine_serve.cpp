@@ -69,12 +69,19 @@ struct ServeSession::Impl {
 
     ~Impl() { drain(); }
 
+    /// Runs the request's ranks inline on this worker: the session already
+    /// keeps one query per worker busy, so fanning each one out again onto
+    /// the rank pool would only oversubscribe the cores.
     Report run(const ServeRequest& request) {
+        const auto& options = request.options;
+        util::WorkerPool* const inline_ranks = nullptr;
         switch (request.query) {
-            case Query::kCount: return engine->count(request.options);
-            case Query::kLcc: return engine->lcc(request.options);
-            case Query::kEnumerate: return engine->enumerate(request.options);
-            case Query::kApprox: return engine->approx_count(request.options);
+            case Query::kCount: return engine->count_impl(nullptr, options, inline_ranks);
+            case Query::kLcc: return engine->lcc_impl(options, inline_ranks);
+            case Query::kEnumerate:
+                return engine->enumerate_impl(nullptr, options, inline_ranks);
+            case Query::kApprox:
+                return engine->approx_impl(options, /*arm=*/true, inline_ranks);
             case Query::kStream: break;  // screened out at submit()
         }
         return unadmitted_report(request, ServeError::kUnsupported);

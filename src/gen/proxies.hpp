@@ -8,8 +8,8 @@
 
 namespace katric::gen {
 
-/// Synthetic stand-ins for the real-world instances of the paper's Table I
-/// (DESIGN.md §1 documents the substitution). Each proxy is generated at a
+/// Synthetic stand-ins for the real-world instances of the paper's Table I,
+/// which this repository does not ship. Each proxy is generated at a
 /// reduced scale but from the matching graph family with the matching
 /// average degree and locality regime:
 ///   social (live-journal, orkut, twitter, friendster) — R-MAT / RHG with a

@@ -142,11 +142,12 @@ bool try_decode_sorted(std::span<const std::uint64_t> words, std::size_t count,
     return true;
 }
 
-std::uint64_t frame_checksum(std::uint64_t frame_id, std::uint32_t src,
-                             std::uint32_t dest, int tag,
+namespace {
+
+/// The checksum chain over everything but the frame id.
+std::uint64_t content_digest(std::uint32_t src, std::uint32_t dest, int tag,
                              std::span<const std::uint64_t> payload) {
-    std::uint64_t h = hash64_seeded(frame_id, 0x6672616d65ULL /* "frame" */);
-    h = hash_combine(h, src);
+    std::uint64_t h = hash_combine(0x6672616d65ULL /* "frame" */, src);
     h = hash_combine(h, dest);
     h = hash_combine(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
     h = hash_combine(h, payload.size());
@@ -154,14 +155,39 @@ std::uint64_t frame_checksum(std::uint64_t frame_id, std::uint32_t src,
     return h;
 }
 
-WordVec frame_payload(std::uint64_t frame_id, std::uint32_t src, std::uint32_t dest,
-                      int tag, std::span<const std::uint64_t> payload) {
+std::uint64_t with_frame_id(std::uint64_t digest, std::uint64_t frame_id) {
+    return hash64_seeded(frame_id, digest);
+}
+
+}  // namespace
+
+std::uint64_t frame_checksum(std::uint64_t frame_id, std::uint32_t src,
+                             std::uint32_t dest, int tag,
+                             std::span<const std::uint64_t> payload) {
+    return with_frame_id(content_digest(src, dest, tag, payload), frame_id);
+}
+
+WordVec frame_unsealed(std::uint32_t src, std::uint32_t dest, int tag,
+                       std::span<const std::uint64_t> payload) {
     WordVec framed;
     framed.reserve(kFrameHeaderWords + payload.size());
-    framed.push_back(frame_id);
+    framed.push_back(0);
     framed.push_back(payload.size());
-    framed.push_back(frame_checksum(frame_id, src, dest, tag, payload));
+    framed.push_back(content_digest(src, dest, tag, payload));
     framed.insert(framed.end(), payload.begin(), payload.end());
+    return framed;
+}
+
+void seal_frame(WordVec& framed, std::uint64_t frame_id) {
+    KATRIC_ASSERT(framed.size() >= kFrameHeaderWords && framed[0] == 0);
+    framed[0] = frame_id;
+    framed[2] = with_frame_id(framed[2], frame_id);
+}
+
+WordVec frame_payload(std::uint64_t frame_id, std::uint32_t src, std::uint32_t dest,
+                      int tag, std::span<const std::uint64_t> payload) {
+    WordVec framed = frame_unsealed(src, dest, tag, payload);
+    seal_frame(framed, frame_id);
     return framed;
 }
 

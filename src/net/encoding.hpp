@@ -62,6 +62,14 @@ inline constexpr std::size_t kFrameHeaderWords = 3;
                                     std::uint32_t dest, int tag,
                                     std::span<const std::uint64_t> payload);
 
+/// frame_payload before the frame id is known: the O(|payload|) copy and
+/// checksum pass, leaving the id word 0 and a partial checksum. seal_frame
+/// then stamps the id in O(1) — so a sender can frame while the id is
+/// still to be assigned; sealed, the buffer equals frame_payload's.
+[[nodiscard]] WordVec frame_unsealed(std::uint32_t src, std::uint32_t dest, int tag,
+                                     std::span<const std::uint64_t> payload);
+void seal_frame(WordVec& framed, std::uint64_t frame_id);
+
 enum class FrameStatus : std::uint8_t {
     kOk = 0,
     kTruncated,  ///< buffer shorter than header + declared payload length

@@ -1,11 +1,14 @@
 #include "net/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <utility>
 
 #include "net/encoding.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
+#include "util/worker_pool.hpp"
 
 namespace katric::net {
 
@@ -28,45 +31,65 @@ CancelledError::CancelledError()
     : std::runtime_error("query cancelled at a superstep boundary "
                          "(deadline expired or caller cancelled)") {}
 
+RankHandle::RankHandle(Simulator& sim, Rank rank, detail::RankLane& lane) noexcept
+    : sim_(&sim), rank_(rank), lane_(&lane), compute_op_(sim.config_.compute_op) {}
+
 Rank RankHandle::size() const noexcept { return sim_->num_ranks(); }
 
 const NetworkConfig& RankHandle::config() const noexcept { return sim_->config_; }
 
 void RankHandle::send(Rank dest, WordVec payload, int tag) {
-    sim_->send_from(rank_, dest, tag, std::move(payload));
+    if (sim_->frames_payloads() && dest != rank_) {
+        // Hardened path: framed (and charged, header included) here, on the
+        // sender's thread; commit only stamps the frame id. Self-sends
+        // never cross the network and keep the raw path; size-only sends
+        // carry no payload to protect and do the same.
+        WordVec framed = frame_unsealed(rank_, dest, tag, payload);
+        const auto words = static_cast<std::uint64_t>(framed.size());
+        post(dest, tag, words, std::move(framed), true);
+        return;
+    }
+    const auto words = static_cast<std::uint64_t>(payload.size());
+    post(dest, tag, words, std::move(payload), false);
 }
 
 void RankHandle::send_sized(Rank dest, std::uint64_t words, int tag) {
-    sim_->send_sized_from(rank_, dest, tag, words);
+    post(dest, tag, words, WordVec{}, false);
 }
 
-void RankHandle::charge_ops(std::uint64_t ops) {
-    sim_->clocks_[rank_] += static_cast<double>(ops) * sim_->config_.compute_op;
-    sim_->metrics_[rank_].compute_ops += ops;
+void RankHandle::post(Rank dest, int tag, std::uint64_t words, WordVec payload,
+                      bool framed) {
+    KATRIC_ASSERT(dest < sim_->num_ranks());
+    if (dest != rank_) {
+        // Single-ported injection: the sender's port is busy for α + β·ℓ.
+        const NetworkConfig& config = sim_->config_;
+        lane_->clock += config.alpha + config.beta * static_cast<double>(words);
+        lane_->metrics.messages_sent += 1;
+        lane_->metrics.words_sent += words;
+    }
+    lane_->outbox.push_back(detail::OutgoingMessage{dest, tag, words, lane_->clock,
+                                                    std::move(payload), framed});
 }
 
 void RankHandle::charge_seconds(double seconds) {
     KATRIC_ASSERT(seconds >= 0.0);
-    sim_->clocks_[rank_] += seconds;
+    lane_->clock += seconds;
 }
 
-double RankHandle::now() const noexcept { return sim_->clocks_[rank_]; }
-
 void RankHandle::note_buffered_words(std::uint64_t current_words) {
-    auto& m = sim_->metrics_[rank_];
+    auto& m = lane_->metrics;
     m.peak_buffered_words = std::max(m.peak_buffered_words, current_words);
     if (current_words > sim_->config_.memory_limit_words) {
         throw OomError(rank_, current_words);
     }
 }
 
-const RankMetrics& RankHandle::metrics() const noexcept { return sim_->metrics_[rank_]; }
-
 Simulator::Simulator(Rank num_ranks, NetworkConfig config)
     : config_(config), num_ranks_(num_ranks) {
     KATRIC_ASSERT(num_ranks >= 1);
     clocks_.assign(num_ranks_, 0.0);
     metrics_.assign(num_ranks_, RankMetrics{});
+    lanes_.resize(num_ranks_);
 }
 
 void Simulator::harden(const HardenOptions& options) {
@@ -74,36 +97,80 @@ void Simulator::harden(const HardenOptions& options) {
     fault_->opts = options;
 }
 
-void Simulator::send_from(Rank src, Rank dest, int tag, WordVec payload) {
-    if (fault_ != nullptr && fault_->opts.frame && src != dest) {
-        // Hardened path: frame, retain for retransmission, inject. Self-sends
-        // never cross the network and keep the raw path; size-only sends
-        // (send_sized_from) carry no payload to protect and do the same.
-        KATRIC_ASSERT(dest < num_ranks_);
-        const std::uint64_t id = ++fault_->next_frame_id;
-        WordVec framed = frame_payload(id, src, dest, tag,
-                                       std::span<const std::uint64_t>(payload));
-        fault_->in_flight.emplace(id, InFlightFrame{src, dest, tag, std::move(framed), 1});
-        if (fault_->opts.stats != nullptr) { ++fault_->opts.stats->frames_sent; }
-        push_hardened(id);
-        return;
+template <typename Fn>
+void Simulator::run_on_lane(Rank r, const Fn& fn) noexcept {
+    detail::RankLane& lane = lanes_[r];
+    lane.clock = clocks_[r];
+    lane.metrics = metrics_[r];
+    RankHandle handle(*this, r, lane);
+    try {
+        fn(handle);
+    } catch (...) {
+        lane.error = std::current_exception();
     }
-    const auto len = static_cast<std::uint64_t>(payload.size());
-    enqueue(src, dest, tag, len, std::move(payload));
 }
 
-void Simulator::push_hardened(std::uint64_t frame_id) {
+void Simulator::run_ranks(const RankFn& fn) {
+    // Lowest rank whose callback threw so far. Ranks above it that have not
+    // started yet are skipped: a rank-by-rank run would never reach them.
+    std::atomic<Rank> failed{num_ranks_};
+    const auto task = [&](std::size_t i) {
+        const auto r = static_cast<Rank>(i);
+        if (r > failed.load(std::memory_order_relaxed)) { return; }
+        run_on_lane(r, fn);
+        if (lanes_[r].error) {
+            Rank current = failed.load(std::memory_order_relaxed);
+            while (r < current
+                   && !failed.compare_exchange_weak(current, r,
+                                                    std::memory_order_relaxed)) {}
+        }
+    };
+    if (pool_ != nullptr) {
+        pool_->run(num_ranks_, task);
+    } else {
+        for (Rank r = 0; r < num_ranks_; ++r) { task(r); }
+    }
+    const Rank first_failed = failed.load(std::memory_order_relaxed);
+    for (Rank r = 0; r < num_ranks_; ++r) {
+        if (r <= first_failed) {
+            commit(r);
+        } else {
+            lanes_[r].outbox.clear();  // roll back: as if the rank never ran
+            lanes_[r].error = nullptr;
+        }
+    }
+    if (first_failed < num_ranks_) {
+        std::rethrow_exception(std::exchange(lanes_[first_failed].error, nullptr));
+    }
+}
+
+void Simulator::commit(Rank r) {
+    detail::RankLane& lane = lanes_[r];
+    clocks_[r] = lane.clock;
+    metrics_[r] = lane.metrics;
+    for (detail::OutgoingMessage& out : lane.outbox) {
+        if (!out.framed) {
+            events_.push(Event{out.arrival, next_seq_++, r, out.dest, out.tag, out.words,
+                               std::move(out.payload)});
+            continue;
+        }
+        // Hardened path: stamp the frame id, retain for retransmission,
+        // inject.
+        const std::uint64_t id = ++fault_->next_frame_id;
+        seal_frame(out.payload, id);
+        fault_->in_flight.emplace(
+            id, InFlightFrame{r, out.dest, out.tag, std::move(out.payload), 1});
+        if (fault_->opts.stats != nullptr) { ++fault_->opts.stats->frames_sent; }
+        push_hardened(id, out.arrival);
+    }
+    lane.outbox.clear();
+}
+
+void Simulator::push_hardened(std::uint64_t frame_id, double arrival) {
     FaultState& st = *fault_;
     const InFlightFrame& f = st.in_flight.at(frame_id);
     WordVec buffer = f.framed;  // pristine retained copy; faults mutate this one
-    // Sender injection charge, including the 3-word frame header — the
-    // hardening overhead is visible in simulated time, as it would be on a
-    // real wire.
     const auto words = static_cast<std::uint64_t>(buffer.size());
-    clocks_[f.src] += config_.alpha + config_.beta * static_cast<double>(words);
-    double arrival = clocks_[f.src];
-    metrics_[f.src].messages_sent += 1;
-    metrics_[f.src].words_sent += words;
 
     bool duplicate = false;
     if (st.opts.injector != nullptr) {
@@ -179,7 +246,13 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
     // of hammering the link.
     const auto shift = std::min<std::uint32_t>(f.attempts, 16);
     clocks_[f.src] += config_.alpha * static_cast<double>(1ULL << shift);
-    push_hardened(frame_id);
+    // Re-injection charge, frame header included — the hardening overhead
+    // is visible in simulated time, as it would be on a real wire.
+    const auto words = static_cast<std::uint64_t>(f.framed.size());
+    clocks_[f.src] += config_.alpha + config_.beta * static_cast<double>(words);
+    metrics_[f.src].messages_sent += 1;
+    metrics_[f.src].words_sent += words;
+    push_hardened(frame_id, clocks_[f.src]);
 }
 
 std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(
@@ -207,25 +280,6 @@ std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(
     return view.payload;
 }
 
-void Simulator::send_sized_from(Rank src, Rank dest, int tag, std::uint64_t words) {
-    enqueue(src, dest, tag, words, WordVec{});
-}
-
-void Simulator::enqueue(Rank src, Rank dest, int tag, std::uint64_t words,
-                        WordVec payload) {
-    KATRIC_ASSERT(dest < num_ranks_);
-    double arrival = clocks_[src];
-    if (src != dest) {
-        // Single-ported injection: the sender's port is busy for α + β·ℓ.
-        const double cost = config_.alpha + config_.beta * static_cast<double>(words);
-        clocks_[src] += cost;
-        arrival = clocks_[src];
-        metrics_[src].messages_sent += 1;
-        metrics_[src].words_sent += words;
-    }
-    events_.push(Event{arrival, next_seq_++, src, dest, tag, words, std::move(payload)});
-}
-
 void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
                                         const RankFn& on_idle) {
     while (true) {
@@ -236,7 +290,6 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             Event event = std::move(const_cast<Event&>(events_.top()));
             events_.pop();
             const Rank dest = event.dest;
-            RankHandle handle(*this, dest);
             clocks_[dest] = std::max(clocks_[dest], event.arrival);
             if (event.src != dest) {
                 // Receiver port occupancy, mirroring the sender charge: the
@@ -253,7 +306,15 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
                 if (!verified.has_value()) { continue; }  // suppressed or re-sent
                 payload = *verified;
             }
-            if (on_message) { on_message(handle, event.src, event.tag, payload); }
+            if (on_message) {
+                run_on_lane(dest, [&](RankHandle& handle) {
+                    on_message(handle, event.src, event.tag, payload);
+                });
+                commit(dest);
+                if (auto error = std::exchange(lanes_[dest].error, nullptr)) {
+                    std::rethrow_exception(error);
+                }
+            }
         }
         if (fault_ != nullptr && !fault_->in_flight.empty()) {
             // The queue drained but frames are unaccounted for: they were
@@ -267,10 +328,7 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             continue;
         }
         if (!on_idle) { break; }
-        for (Rank r = 0; r < num_ranks_; ++r) {
-            RankHandle handle(*this, r);
-            on_idle(handle);
-        }
+        run_ranks(on_idle);
         // A frame sent during the idle round may itself have been dropped:
         // the event queue is then empty but the frame is unaccounted for.
         // Loop back so the lost-frame sweep above runs; only true quiescence
@@ -312,12 +370,7 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
     }
     std::vector<RankMetrics> metrics_before;
     if (record_phase_details_) { metrics_before = metrics_; }
-    if (start) {
-        for (Rank r = 0; r < num_ranks_; ++r) {
-            RankHandle handle(*this, r);
-            start(handle);
-        }
-    }
+    if (start) { run_ranks(start); }
     deliver_until_quiescent(on_message, on_idle);
 
     double makespan = phase_start;

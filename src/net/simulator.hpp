@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,6 +18,10 @@
 #include "graph/types.hpp"
 #include "net/metrics.hpp"
 #include "net/network_config.hpp"
+
+namespace katric::util {
+class WorkerPool;
+}  // namespace katric::util
 
 namespace katric::net {
 
@@ -85,13 +90,41 @@ struct HardenOptions {
 
 class Simulator;
 
+namespace detail {
+
+/// One message a callback sent: charged to its sender when sent, handed to
+/// the network when the callback's rank commits (Simulator::commit).
+struct OutgoingMessage {
+    Rank dest;
+    int tag;
+    /// Charged length in words.
+    std::uint64_t words;
+    /// The sender's clock after its injection charge.
+    double arrival;
+    /// Empty for size-only sends; an unsealed frame when `framed`.
+    WordVec payload;
+    bool framed;  ///< commit stamps the frame id (net::seal_frame)
+};
+
+/// A rank's working state while one of its callbacks runs: the clock and
+/// counters it charges and the messages it sends. Loaded from the simulator
+/// before the callback and committed after it, so ranks running
+/// concurrently write only their own lane; the alignment keeps two lanes
+/// off one cache line.
+struct alignas(64) RankLane {
+    double clock = 0.0;
+    RankMetrics metrics;
+    std::vector<OutgoingMessage> outbox;
+    std::exception_ptr error;  ///< what the callback threw, if anything
+};
+
+}  // namespace detail
+
 /// Per-PE facade handed to algorithm callbacks: the only way algorithm code
 /// can touch the machine. Mirrors the discipline of an MPI rank — a PE sees
 /// its own rank, the PE count, and explicit message passing; nothing else.
 class RankHandle {
 public:
-    RankHandle(Simulator& sim, Rank rank) noexcept : sim_(&sim), rank_(rank) {}
-
     [[nodiscard]] Rank rank() const noexcept { return rank_; }
     [[nodiscard]] Rank size() const noexcept;
     [[nodiscard]] const NetworkConfig& config() const noexcept;
@@ -111,34 +144,62 @@ public:
     void send_sized(Rank dest, std::uint64_t words, int tag = 0);
 
     /// Advances this PE's clock by ops elementary operations.
-    void charge_ops(std::uint64_t ops);
+    void charge_ops(std::uint64_t ops) noexcept {
+        lane_->clock += static_cast<double>(ops) * compute_op_;
+        lane_->metrics.compute_ops += ops;
+    }
     /// Advances this PE's clock by an explicit amount of seconds.
     void charge_seconds(double seconds);
 
     /// This PE's simulated clock.
-    [[nodiscard]] double now() const noexcept;
+    [[nodiscard]] double now() const noexcept { return lane_->clock; }
 
     /// Reports the current amount of buffered outgoing data; updates the
     /// high-water mark and enforces the per-PE memory budget (throws
     /// OomError past the limit).
     void note_buffered_words(std::uint64_t current_words);
 
-    [[nodiscard]] const RankMetrics& metrics() const noexcept;
+    [[nodiscard]] const RankMetrics& metrics() const noexcept { return lane_->metrics; }
 
 private:
+    friend class Simulator;
+    RankHandle(Simulator& sim, Rank rank, detail::RankLane& lane) noexcept;
+
+    void post(Rank dest, int tag, std::uint64_t words, WordVec payload, bool framed);
+
     Simulator* sim_;
     Rank rank_;
+    detail::RankLane* lane_;
+    double compute_op_;
 };
 
 /// Deterministic discrete-event simulator of a p-PE message-passing machine.
 ///
-/// Execution model (DESIGN.md §3): a *phase* (superstep) runs every rank's
-/// start function, then delivers messages in global arrival order until
-/// quiescence — handlers may send further messages (aggregation proxies,
-/// replies). An optional idle hook runs when the event queue drains, so
-/// message queues can flush residual buffers; the phase ends when an idle
-/// round generates no new traffic. A closing barrier lifts all clocks to the
-/// maximum plus α·⌈log₂ p⌉.
+/// Execution model: a *phase* (superstep) runs every rank's start function,
+/// then delivers messages in global arrival order until quiescence —
+/// handlers may send further messages (aggregation proxies, replies). An
+/// optional idle hook runs when the event queue drains, so message queues
+/// can flush residual buffers; the phase ends when an idle round generates
+/// no new traffic. A closing barrier lifts all clocks to the maximum plus
+/// α·⌈log₂ p⌉.
+///
+/// Concurrency: with a worker pool attached (set_worker_pool), the start
+/// functions of all ranks — and, in each idle round, the idle hooks of all
+/// ranks — run concurrently, so those callbacks must write only state their
+/// own rank owns (its slot of a per-rank vector, its message queue, its
+/// sink bucket) and read nothing another rank's callback writes in the same
+/// round. Message handlers always run one at a time in arrival order. Every
+/// callback charges and sends through its rank's private RankLane; sends
+/// are charged to the sender at send time and handed to the network when
+/// the callback's rank commits. Commits run in rank order after each
+/// round (and right after each handler), so sequence numbers, frame ids and
+/// injected faults come out exactly as if the ranks had run one after
+/// another — the report is the same with or without a pool.
+///
+/// Failure: if callbacks throw, the lowest rank's exception propagates.
+/// Ranks below it commit, it commits what it did before throwing, and every
+/// higher rank's clock, counters and sends in that round are discarded —
+/// the state a rank-by-rank run stopping at the throw would have left.
 ///
 /// Determinism: ties in arrival time break by send sequence number, and
 /// per-channel FIFO follows from per-sender clock monotonicity.
@@ -152,6 +213,12 @@ public:
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
+
+    /// Runs every rank's start and idle callbacks on `pool` from now on
+    /// (null, the default: one rank after another on the calling thread).
+    /// The pool must outlive the simulator's phases. Changes host time only:
+    /// every simulated result is identical either way.
+    void set_worker_pool(util::WorkerPool* pool) noexcept { pool_ = pool; }
 
     /// Runs one superstep; returns its duration in simulated seconds.
     double run_phase(const std::string& name, const RankFn& start,
@@ -211,9 +278,22 @@ private:
         }
     };
 
-    void send_from(Rank src, Rank dest, int tag, WordVec payload);
-    void send_sized_from(Rank src, Rank dest, int tag, std::uint64_t words);
-    void enqueue(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload);
+    /// True when cross-rank payload sends travel framed (hardened layer).
+    [[nodiscard]] bool frames_payloads() const noexcept {
+        return fault_ != nullptr && fault_->opts.frame;
+    }
+    /// Runs `fn` for every rank, each on its own lane — on the pool when
+    /// one is attached — then commits the lanes in rank order and rethrows
+    /// the lowest rank's exception (see the class comment).
+    void run_ranks(const RankFn& fn);
+    /// Loads rank r's lane from the machine state and runs `fn` on it,
+    /// capturing what it throws.
+    template <typename Fn>
+    void run_on_lane(Rank r, const Fn& fn) noexcept;
+    /// Writes rank r's lane back and hands its outbox to the network, in
+    /// send order: sequence numbers, frame ids and injected faults are
+    /// assigned here.
+    void commit(Rank r);
     void deliver_until_quiescent(const MessageHandler& on_message, const RankFn& on_idle);
 
     /// Retained copy of a hardened in-flight frame, kept until its verified
@@ -239,11 +319,12 @@ private:
         std::unordered_set<std::uint64_t> delivered;
     };
 
-    /// Charges the sender and pushes the retained frame's event(s) through
-    /// the injector: 0 (drop), 1, or 2 (duplicate) events, possibly with a
+    /// Pushes the retained frame's event(s), sent at `arrival`, through the
+    /// injector: 0 (drop), 1, or 2 (duplicate) events, possibly with a
     /// mutated copy of the buffer (truncate/bitflip) or a perturbed arrival
-    /// (reorder/delay). Used by both the first send and retransmissions.
-    void push_hardened(std::uint64_t frame_id);
+    /// (reorder/delay). Used by both the first send and retransmissions;
+    /// the sender has already been charged.
+    void push_hardened(std::uint64_t frame_id, double arrival);
     /// Re-sends a frame after detected loss/corruption, charging the sender
     /// the backoff α·2^attempt on top of the normal injection cost. Throws
     /// FaultError when the retry budget is exhausted.
@@ -263,6 +344,10 @@ private:
     std::vector<PhaseRecord> phases_;
     bool record_phase_details_ = false;
     std::unique_ptr<FaultState> fault_;
+    util::WorkerPool* pool_ = nullptr;
+    /// One per rank; a lane holds live state only while its rank's
+    /// callback runs or awaits commit.
+    std::vector<detail::RankLane> lanes_;
 };
 
 }  // namespace katric::net

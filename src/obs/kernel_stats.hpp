@@ -34,11 +34,13 @@ inline constexpr std::size_t kNumKernelChoices = 7;
 /// decided branch — cheap enough for the per-intersection hot path — and
 /// entirely skipped when no stats object is attached (the disabled default).
 ///
-/// Not thread-safe: the counting paths run intersections inside the
-/// simulator's serial event loop, so one instance per *query* suffices —
-/// the Engine records into a query-local instance and merges it into the
-/// session totals under Observability's record mutex on finalize.
-struct KernelStats {
+/// Not thread-safe, so one instance per *rank* of a query: the simulator
+/// may run different ranks' callbacks concurrently, and each rank records
+/// only into its own instance (AlgorithmOptions::kernel_stats). The Engine
+/// merges a query's per-rank instances in rank order on finalize, then
+/// into the session totals under Observability's record mutex. Aligned to
+/// a cache line so two ranks' counters never share one.
+struct alignas(64) KernelStats {
     /// Smaller-operand log₂ buckets: bucket i covers sizes [2^(i-1), 2^i),
     /// bucket 0 is empty/size-0 operands, the last bucket saturates.
     static constexpr std::size_t kBuckets = 24;

@@ -88,7 +88,9 @@ struct Report {
     double postprocess_time = 0.0;     ///< simulated Δ-aggregation seconds
 
     // --- kEnumerate ------------------------------------------------------
-    std::vector<core::Triangle> triangles;    ///< sorted, canonical
+    /// Sorted, canonical; a failed run keeps the triangles it found before
+    /// failing, unsorted, grouped by finder rank.
+    std::vector<core::Triangle> triangles;
     std::vector<std::size_t> found_per_rank;  ///< emission counts
 
     // --- kApprox ---------------------------------------------------------

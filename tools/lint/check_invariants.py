@@ -23,6 +23,12 @@ Rules (each finding names its rule id):
                      a waiver (TriC's deliberately unbuffered static mode
                      is the one legitimate site).
 
+  packed-bool        No std::vector<bool> in src/. Its packed bits share
+                     words across elements, so two ranks' callbacks
+                     writing their own flags concurrently (the simulator's
+                     rank-parallel supersteps) race. Use
+                     std::vector<std::uint8_t>.
+
   umbrella-hygiene   Include discipline: library code never includes the
                      katric.hpp umbrella, the umbrella's includes all
                      exist, no `#include "../`, and every src/ header
@@ -70,6 +76,8 @@ THROW_RE = re.compile(r"\bthrow\b\s*([A-Za-z_:]*)")
 ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_error"}
 
 RAW_SEND_RE = re.compile(r"\.\s*(send|send_sized)\s*\(")
+
+PACKED_BOOL_RE = re.compile(r"\bvector\s*<\s*bool\s*>")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
@@ -160,6 +168,7 @@ class Linter:
         if in_src:
             self.check_nondeterminism(rel, raw, code)
             self.check_raw_throw(rel, raw, code)
+            self.check_packed_bool(rel, raw, code)
             self.check_umbrella(rel, raw, code, path)
         self.check_raw_send(rel, raw, code)
         self.check_unused_waivers(rel, raw)
@@ -191,6 +200,15 @@ class Linter:
                     f"throw of '{thrown}' — errors leave the library typed "
                     "(OomError/FaultError/CancelledError/assertion_error; "
                     "use KATRIC_ASSERT/KATRIC_THROW)")
+
+    def check_packed_bool(self, rel, raw, code) -> None:
+        for lineno, line in enumerate(code, 1):
+            if PACKED_BOOL_RE.search(line):
+                self.emit(
+                    "packed-bool", rel, lineno, raw,
+                    "std::vector<bool> packs flags into shared words — "
+                    "concurrent per-rank writes race; use "
+                    "std::vector<std::uint8_t>")
 
     def check_raw_send(self, rel, raw, code) -> None:
         if not rel.startswith(("src/",)) or rel.startswith("src/net/"):
@@ -289,6 +307,15 @@ SELF_TEST_CASES = [
      "    self.send(0, r, kTag);  // katric-lint: allow(raw-send)\n}\n"),
     ("waiver", "src/core/stale_waiver.cpp",
      "// katric-lint: allow(raw-send): nothing here sends\nint f();\n"),
+    ("packed-bool", "src/net/bad_flags.cpp",
+     "std::vector<bool> done(4, false);\n"),
+    ("packed-bool", "src/net/bad_flags_spaced.cpp",
+     "std::vector< bool > done;\n"),
+    (None, "src/net/ok_flags.cpp",
+     "// not std::vector<bool>: packed bits share words\n"
+     "std::vector<std::uint8_t> done(4, 0);\n"),
+    (None, "tests/ok_packed_in_tests.cpp",
+     "std::vector<bool> expected(4, false);\n"),
     ("umbrella-hygiene", "src/bad_umbrella.cpp",
      '#include "katric.hpp"\nint f();\n'),
     ("umbrella-hygiene", "src/bad_parent.cpp",
