@@ -23,14 +23,14 @@ void LccDeltaState::credit(Rank finder, VertexId v, std::int64_t amount) {
     if (partition_.is_local(v, finder)) {
         local_[finder][v - partition_.begin(finder)] += amount;
     } else {
-        ghost_[finder][v] += amount;
+        ghost_[finder].value[v] += amount;
     }
 }
 
 std::vector<std::pair<VertexId, std::int64_t>> LccDeltaState::drain_ghosts(Rank r) {
-    std::vector<std::pair<VertexId, std::int64_t>> pairs(ghost_[r].begin(),
-                                                         ghost_[r].end());
-    ghost_[r].clear();
+    auto& ghost = ghost_[r].value;
+    std::vector<std::pair<VertexId, std::int64_t>> pairs(ghost.begin(), ghost.end());
+    ghost.clear();
     std::sort(pairs.begin(), pairs.end());
     return pairs;
 }
@@ -43,7 +43,7 @@ void LccDeltaState::absorb(Rank owner, VertexId v, std::int64_t amount) {
 
 bool LccDeltaState::ghosts_empty() const noexcept {
     for (const auto& map : ghost_) {
-        if (!map.empty()) { return false; }
+        if (!map.value.empty()) { return false; }
     }
     return true;
 }

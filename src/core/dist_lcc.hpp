@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/runner.hpp"
+#include "util/cache_aligned.hpp"
 
 namespace katric::core {
 
@@ -56,7 +57,9 @@ public:
 private:
     graph::Partition1D partition_;
     std::vector<std::vector<std::int64_t>> local_;
-    std::vector<std::unordered_map<VertexId, std::int64_t>> ghost_;
+    /// Written by the finder rank's callbacks, which may run concurrently
+    /// with other ranks': one cache line per rank's map.
+    std::vector<util::CacheAligned<std::unordered_map<VertexId, std::int64_t>>> ghost_;
 };
 
 /// Distributed local-clustering-coefficient computation (Section IV-E).

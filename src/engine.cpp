@@ -330,26 +330,24 @@ Report Engine::enumerate_impl(const core::TriangleSink* sink, const QueryOptions
     };
     Report report = count_impl(&collector, query, pool);
     report.query = Query::kEnumerate;
-    std::vector<core::Triangle> triangles;
-    if (sink == nullptr) {
+    // A failed run returns no triangles: what it found is no answer.
+    if (sink == nullptr && report.ok()) {
         std::size_t total = 0;
         for (const auto& bucket : buckets) { total += bucket.triangles.size(); }
-        triangles.reserve(total);
+        report.triangles.reserve(total);
         for (auto& bucket : buckets) {
-            triangles.insert(triangles.end(), bucket.triangles.begin(),
-                             bucket.triangles.end());
+            report.triangles.insert(report.triangles.end(), bucket.triangles.begin(),
+                                    bucket.triangles.end());
             std::deque<core::Triangle>().swap(bucket.triangles);  // free as we go
         }
-    }
-    if (sink == nullptr && report.ok()) {
-        std::sort(triangles.begin(), triangles.end());
-        KATRIC_ASSERT_MSG(std::adjacent_find(triangles.begin(), triangles.end())
-                              == triangles.end(),
+        std::sort(report.triangles.begin(), report.triangles.end());
+        KATRIC_ASSERT_MSG(std::adjacent_find(report.triangles.begin(),
+                                             report.triangles.end())
+                              == report.triangles.end(),
                           "a triangle was enumerated more than once — the "
                           "exactly-once invariant is broken");
-        KATRIC_ASSERT(triangles.size() == report.count.triangles);
+        KATRIC_ASSERT(report.triangles.size() == report.count.triangles);
     }
-    report.triangles = std::move(triangles);
     report.found_per_rank.reserve(buckets.size());
     for (const auto& bucket : buckets) { report.found_per_rank.push_back(bucket.found); }
     return report;
@@ -433,6 +431,9 @@ StreamSession::StreamSession(const graph::CsrGraph& graph,
             *sim_, *views_, config_.options, config_.stream_indirect, initial_delta);
         lcc_->attach(*counter_);
     }
+    // Batches run their ranks on every core; attached only now, so the
+    // session's one-time setup supersteps stay on the calling thread.
+    sim_->set_worker_pool(&util::WorkerPool::shared());
 }
 
 StreamSession::~StreamSession() {

@@ -29,7 +29,9 @@ class Engine;
 /// A streaming session promoted from an Engine's built state
 /// (Engine::open_stream): the engine's partition is reused to build every
 /// rank's DynamicDistGraph — no second partitioning pass — and batches are
-/// then ingested incrementally on a dedicated simulated machine.
+/// then ingested incrementally on a dedicated simulated machine, whose
+/// supersteps run their ranks on all cores. One client: ingest() must not
+/// be called from two threads at once.
 class StreamSession {
 public:
     StreamSession(StreamSession&&) = default;
@@ -231,14 +233,15 @@ private:
 /// The graph must outlive the engine (the views reference its partition
 /// only; the graph itself is re-read when a query needs global degrees).
 ///
-/// Host parallelism: a query called directly on the engine runs the
-/// per-rank work of each superstep (every rank's start and idle callbacks)
-/// on all cores, through the process-wide util::WorkerPool. Queries served
-/// by a ServeSession run their ranks one after another on the worker thread
-/// — the session already keeps one query per worker busy — as do the one
-/// preprocessing build, StreamSession supersteps and any query that feeds a
-/// caller's TriangleSink, so the sink sees one call at a time, in a fixed
-/// order. There is no knob: reports are bit-identical either way.
+/// Host parallelism: a query called directly on the engine, and every batch
+/// a StreamSession ingests, runs the per-rank work of each superstep (every
+/// rank's start and idle callbacks) on all cores, through the process-wide
+/// util::WorkerPool. Queries served by a ServeSession run their ranks one
+/// after another on the worker thread — the session already keeps one query
+/// per worker busy — as do the one preprocessing build, a stream session's
+/// one-time setup and any query that feeds a caller's TriangleSink, so the
+/// sink sees one call at a time, in a fixed order. There is no knob: reports
+/// and batch stats are bit-identical either way.
 ///
 /// Thread safety: queries may run concurrently from several threads
 /// (Engine::serve's worker pool, or direct calls). The one build runs under
@@ -311,9 +314,10 @@ public:
     }
 
     /// Exactly-once triangle enumeration. Without a sink the canonical
-    /// sorted list lands in Report::triangles (a failed run keeps what it
-    /// found, unsorted, grouped by finder rank); with a sink every find is
-    /// forwarded to it instead (streaming enumeration — nothing collected).
+    /// sorted list lands in Report::triangles (empty when the run failed;
+    /// found_per_rank still says what each rank found); with a sink every
+    /// find is forwarded to it instead (streaming enumeration — nothing
+    /// collected).
     Report enumerate() { return enumerate(nullptr, QueryOptions{}); }
     Report enumerate(const QueryOptions& query) { return enumerate(nullptr, query); }
     Report enumerate(const core::TriangleSink& sink, const QueryOptions& query = {}) {

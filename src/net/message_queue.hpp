@@ -31,7 +31,11 @@ namespace katric::net {
 /// [final_dest, record_len, epoch, word₀ …]). Records whose final_dest is
 /// not the receiving PE are aggregation traffic for a proxy, which re-posts
 /// them into its own queue (second hop).
-class MessageQueue {
+///
+/// Every rank owns one queue, and ranks may post and flush concurrently
+/// (rank-parallel supersteps); the alignment keeps two ranks' queues off
+/// one cache line.
+class alignas(64) MessageQueue {
 public:
     /// threshold_words = δ. The router reference must outlive the queue.
     /// With epoch_stamped = true every record carries the queue's current

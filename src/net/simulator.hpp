@@ -253,6 +253,14 @@ public:
     /// check on fault_ — the same discipline obs uses.
     void harden(const HardenOptions& options);
     [[nodiscard]] bool hardened() const noexcept { return fault_ != nullptr; }
+    /// True when run_phase may throw at a superstep's opening boundary,
+    /// before any callback runs: a cancel token or a fault injector (rank
+    /// crashes) is armed. Callers that change their own state just ahead of
+    /// a phase (the stream apply superstep) require this to be false.
+    [[nodiscard]] bool aborts_at_boundary() const noexcept {
+        return fault_ != nullptr
+               && (fault_->opts.cancel != nullptr || fault_->opts.injector != nullptr);
+    }
 
 private:
     friend class RankHandle;

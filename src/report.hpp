@@ -88,10 +88,11 @@ struct Report {
     double postprocess_time = 0.0;     ///< simulated Δ-aggregation seconds
 
     // --- kEnumerate ------------------------------------------------------
-    /// Sorted, canonical; a failed run keeps the triangles it found before
-    /// failing, unsorted, grouped by finder rank.
+    /// Sorted, canonical; empty when the run failed (!ok()).
     std::vector<core::Triangle> triangles;
-    std::vector<std::size_t> found_per_rank;  ///< emission counts
+    /// Emission counts per finder rank — kept on failure, like the count
+    /// metrics, as the record of how far the run got.
+    std::vector<std::size_t> found_per_rank;
 
     // --- kApprox ---------------------------------------------------------
     double estimated_triangles = 0.0;

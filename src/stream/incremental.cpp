@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/bits.hpp"
@@ -94,7 +95,7 @@ IncrementalCounter::IncrementalCounter(net::Simulator& sim,
         queues_.emplace_back(stream_queue_threshold(options, view), *router_,
                              core::kTagStream, /*epoch_stamped=*/true);
     }
-    sixths_.assign(views.size(), 0);
+    sixths_.resize(views.size());
     if (core::uses_hub_bitmaps(options.intersect)) {
         // Initial hub index — the streaming analogue of the bitmap build
         // inside static preprocessing, charged as its own one-time phase.
@@ -237,7 +238,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
             const graph::VertexId wa = word & ~kChangedFlag;
             if (hubs->probe(b, wa)) { found(wa, (word & kChangedFlag) != 0); }
         }
-        sixths_[self.rank()] += gained;
+        sixths_[self.rank()].value += gained;
         return;
     }
     if ((kind == seq::IntersectKind::kAdaptive
@@ -259,7 +260,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
             }
         }
         self.charge_ops(ops);
-        sixths_[self.rank()] += gained;
+        sixths_[self.rank()].value += gained;
         return;
     }
     // Merge path (every remaining kind): the flag bit sits above any valid
@@ -280,7 +281,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
             ++j;
         }
     }
-    sixths_[self.rank()] += gained;
+    sixths_[self.rank()].value += gained;
 }
 
 void IncrementalCounter::deliver_record(net::RankHandle& self,
@@ -315,12 +316,42 @@ void IncrementalCounter::deliver_record(net::RankHandle& self,
 
 std::uint64_t IncrementalCounter::take_triangle_sixths() {
     std::uint64_t total = 0;
-    for (auto& s : sixths_) {
-        total += s;
-        s = 0;
-    }
+    for (auto& s : sixths_) { total += std::exchange(s.value, 0); }
     KATRIC_ASSERT_MSG(total % 6 == 0, "multiplicity correction out of balance: " << total);
     return total / 6;
+}
+
+std::vector<IncrementalCounter::RowChanges> IncrementalCounter::apply_row_changes(
+    const NetEffect& net) {
+    // The rows change before "stream/apply" opens, so that superstep must
+    // not be able to abort at its boundary and leave them changed.
+    KATRIC_ASSERT_MSG(!sim_->aborts_at_boundary(),
+                      "stream sessions take no cancel token and no fault injector");
+    const auto& partition = views_->front().partition();
+    std::vector<RowChanges> changes(views_->size());
+    const auto apply = [&](const Edge& e, const bool insert) {
+        for (const auto& [x, y] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+            const Rank r = partition.rank_of(x);
+            auto& view = (*views_)[r];
+            const bool applied =
+                insert ? view.insert_half_edge(x, y) : view.erase_half_edge(x, y);
+            KATRIC_ASSERT_MSG(applied, "net-effect delta was a no-op");
+            changes[r].charges.push_back(1 + ceil_log2(view.degree(x) + 2));
+            changes[r].touched.push_back(x);
+        }
+    };
+    for (const auto& e : net.deletes) { apply(e, false); }
+    for (const auto& e : net.inserts) { apply(e, true); }
+    for (Rank r = 0; r < changes.size(); ++r) {
+        // Hub bitmaps must be fresh before any insertion counting — local
+        // intersections and deliveries from other ranks. Dirty-set
+        // rebuild: only rows this batch touched are re-materialized.
+        changes[r].charges.push_back((*views_)[r].rebuild_dirty_hubs());
+        auto& touched = changes[r].touched;
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    }
+    return changes;
 }
 
 BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
@@ -390,35 +421,19 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
     // any delivery, so shipped neighborhoods are post-update everywhere.
     std::uint64_t gained = 0;
     if (!net.deletes.empty() || !net.inserts.empty()) {
+        const auto changes = apply_row_changes(net);
         start_epoch(++epoch_);
         current_changed_ = &inserted;
         phase_sign_ = 1;
         sim_->run_phase(
             "stream/apply",
             [&](net::RankHandle& self) {
-                auto& view = (*views_)[self.rank()];
-                std::vector<graph::VertexId> touched;
-                const auto apply = [&](const Edge& e, const bool insert) {
-                    for (const auto& [x, y] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
-                        if (!view.is_local(x)) { continue; }
-                        const bool applied = insert ? view.insert_half_edge(x, y)
-                                                    : view.erase_half_edge(x, y);
-                        KATRIC_ASSERT_MSG(applied, "net-effect delta was a no-op");
-                        self.charge_ops(1 + ceil_log2(view.degree(x) + 2));
-                        touched.push_back(x);
-                    }
-                };
-                for (const auto& e : net.deletes) { apply(e, false); }
-                for (const auto& e : net.inserts) { apply(e, true); }
-                // Hub bitmaps must be fresh before any insertion counting —
-                // local intersections below and deliveries from other ranks
-                // (all starts run before any delivery). Dirty-set rebuild:
-                // only rows this batch touched are re-materialized.
-                self.charge_ops(view.rebuild_dirty_hubs());
-
-                std::sort(touched.begin(), touched.end());
-                touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-                for (const auto v : touched) {
+                const auto& view = (*views_)[self.rank()];
+                const RowChanges& mine = changes[self.rank()];
+                // One charge per recorded cost, as the changes were made: a
+                // summed charge would round the clock differently.
+                for (const std::uint64_t ops : mine.charges) { self.charge_ops(ops); }
+                for (const auto v : mine.touched) {
                     self.charge_ops(view.degree(v) + 1);  // owner scan
                     const net::WordVec note{kOpDegree, v, view.degree(v)};
                     for (const Rank owner : view.neighbor_ranks(v)) {

@@ -14,6 +14,7 @@
 #include "net/simulator.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
+#include "util/cache_aligned.hpp"
 #include "util/hash.hpp"
 
 namespace katric::stream {
@@ -77,6 +78,13 @@ using StreamTriangleSink =
 ///      vertices, then count the new graph's triangles through each
 ///      effective insertion with the same 6/k correction.
 ///
+/// Both supersteps' rank callbacks may run concurrently (a worker pool on
+/// the simulator), so each writes only its own rank's state. The row
+/// changes of "stream/apply" run on the calling thread just before the
+/// superstep, which keeps every row allocation out of the helper threads;
+/// each rank's callback then charges their recorded costs one by one, in
+/// the order the rank would have made them.
+///
 /// Cross-rank neighborhood access routes through net::MessageQueue (the
 /// paper's δ-buffered asynchronous all-to-all, Section IV-A, with optional
 /// grid indirection, Section IV-B) in epoch-stamped mode: each superstep is
@@ -122,6 +130,18 @@ private:
 
     [[nodiscard]] NetEffect fold_batch(const EdgeBatch& batch) const;
 
+    /// One rank's share of a batch's row changes: the ops each change (and
+    /// then the hub refresh) costs, in the order the rank makes them, and
+    /// the sorted distinct local rows they touched.
+    struct RowChanges {
+        std::vector<std::uint64_t> charges;
+        std::vector<graph::VertexId> touched;
+    };
+    /// Applies the net effect's half-edge changes to every rank's rows and
+    /// refreshes their hub bitmaps, on the calling thread; returns each
+    /// rank's changes for "stream/apply" to charge.
+    [[nodiscard]] std::vector<RowChanges> apply_row_changes(const NetEffect& net);
+
     void start_epoch(std::uint64_t epoch);
     /// Flag-annotated local neighborhood of x appended to `prefix` — the
     /// shared wire/operand form of ship records and local intersections.
@@ -145,7 +165,8 @@ private:
     core::AlgorithmOptions options_;
     std::unique_ptr<net::Router> router_;
     std::vector<net::MessageQueue> queues_;
-    std::vector<std::uint64_t> sixths_;  // per-rank, units of 1/6 triangle
+    /// Per rank, units of 1/6 triangle; ranks add to their own concurrently.
+    std::vector<util::CacheAligned<std::uint64_t>> sixths_;
     StreamTriangleSink sink_;            // optional per-vertex attribution
     std::int64_t phase_sign_ = 1;        // −1 in "stream/delete", +1 in "stream/apply"
 

@@ -11,6 +11,7 @@
 #include "net/simulator.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/incremental.hpp"
+#include "util/cache_aligned.hpp"
 
 namespace katric::stream {
 
@@ -81,10 +82,11 @@ private:
     core::LccDeltaState state_;  // units: sixths of a triangle
     std::unique_ptr<net::Router> router_;
     std::vector<net::MessageQueue> queues_;
-    /// Owner-side slots credited since the last flush (may hold duplicates)
-    /// — the scope of finish_batch's sixths-invariant check, keeping it
-    /// O(touched) instead of O(n) per batch.
-    std::vector<VertexId> touched_;
+    /// Per owner rank: its slots credited since the last flush (may hold
+    /// duplicates) — the scope of finish_batch's sixths-invariant check,
+    /// keeping it O(touched) instead of O(n) per batch. Per rank because
+    /// ranks' triangle sinks run concurrently.
+    std::vector<util::CacheAligned<std::vector<VertexId>>> touched_;
     std::uint64_t epoch_ = 0;
     std::size_t batches_ = 0;
 };

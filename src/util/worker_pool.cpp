@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/timer.hpp"
+
 namespace katric::util {
 
 WorkerPool::WorkerPool(unsigned helpers) {
@@ -41,7 +43,10 @@ void WorkerPool::drain(Loop& loop) {
 void WorkerPool::retire(const Loop& loop) {
     const auto it = std::find_if(loops_.begin(), loops_.end(),
                                  [&](const auto& queued) { return queued.get() == &loop; });
-    if (it != loops_.end()) { loops_.erase(it); }
+    if (it != loops_.end()) {
+        loops_.erase(it);
+        queued_.store(loops_.size());
+    }
 }
 
 void WorkerPool::run(std::size_t count, const Task& task) {
@@ -55,6 +60,7 @@ void WorkerPool::run(std::size_t count, const Task& task) {
     {
         const MutexLock lock(mutex_);
         loops_.push_back(loop);
+        queued_.store(loops_.size());
     }
     // Wake only as many helpers as there are indices left for them.
     const std::size_t wanted = std::min<std::size_t>(count - 1, threads_.size());
@@ -75,8 +81,20 @@ void WorkerPool::helper_main() {
             loop = loops_.front();
         }
         drain(*loop);
-        const MutexLock lock(mutex_);
-        retire(*loop);
+        {
+            const MutexLock lock(mutex_);
+            retire(*loop);
+        }
+        spin();
+    }
+}
+
+void WorkerPool::spin() const noexcept {
+    const WallTimer timer;
+    while (queued_.load() == 0 && timer.elapsed_seconds() < kSpin) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
     }
 }
 

@@ -24,12 +24,22 @@ namespace katric::util {
 /// Which thread runs which index is unspecified — callers that need a
 /// deterministic result make each index write only state it owns and
 /// combine afterwards (the simulator's rank-parallel supersteps).
+///
+/// A helper that runs out of work spins for kSpin before it parks on a
+/// condition variable: a stream batch runs several supersteps of well under
+/// a millisecond each, and a helper that parked after every one would still
+/// be waking up when the next one ended. The spin is bounded, so an idle
+/// pool leaves the cores within kSpin.
 class WorkerPool {
 public:
     using Task = std::function<void(std::size_t)>;
 
+    /// How long a helper polls for the next loop before parking (seconds).
+    static constexpr double kSpin = 200e-6;
+
     /// Spawns `helpers` threads; 0 runs every loop inline on its caller.
     explicit WorkerPool(unsigned helpers);
+    /// Stops and joins the helpers; a spinning one notices within kSpin.
     ~WorkerPool();
     WorkerPool(const WorkerPool&) = delete;
     WorkerPool& operator=(const WorkerPool&) = delete;
@@ -60,11 +70,15 @@ private:
     /// Takes `loop` off the queue (no new helper can pick it up afterwards).
     void retire(const Loop& loop) KATRIC_REQUIRES(mutex_);
     void helper_main() KATRIC_EXCLUDES(mutex_);
+    /// Polls queued_ for up to kSpin; returns early once a loop is queued.
+    void spin() const noexcept;
 
     Mutex mutex_;
     CondVar work_;  ///< helpers: a loop was queued, or the pool is stopping
     CondVar done_;  ///< callers: some loop's last call returned
     std::deque<std::shared_ptr<Loop>> loops_ KATRIC_GUARDED_BY(mutex_);
+    /// loops_.size(), written under mutex_ and polled without it by spin().
+    std::atomic<std::size_t> queued_{0};
     bool stopping_ KATRIC_GUARDED_BY(mutex_) = false;
     std::vector<std::thread> threads_;
 };

@@ -5,6 +5,9 @@
 #include <numeric>
 #include <set>
 
+#include "engine.hpp"
+#include "fault/fault_plan.hpp"
+#include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
 #include "support/test_graphs.hpp"
@@ -75,6 +78,38 @@ TEST(Enumerate, TriangleFreeGraphIsEmpty) {
     const auto result = test::engine_enumerate(katric::test::petersen_graph(), spec);
     EXPECT_TRUE(result.triangles.empty());
     EXPECT_EQ(result.count.triangles, 0u);
+}
+
+TEST(Enumerate, FailedRunReturnsNoTriangles) {
+    // Fail-fast under drops: the first lost frame ends the run with a typed
+    // error partway through. What it found by then is no answer, so the
+    // list stays empty; the per-rank find counts and the count metrics
+    // still record how far it got.
+    const auto g = gen::generate_rmat(7, graph::EdgeId{6} << 7, /*seed=*/23);
+    Config config;
+    config.num_ranks = 16;
+    config.algorithm = Algorithm::kCetric;
+    config.fault_spec = "seed=5;drop=0.1";
+    config.recovery = fault::RecoveryPolicy::kFailFast;
+    Engine engine(g, config);
+    const Report report = engine.enumerate();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error.domain, Error::Domain::kNet);
+    EXPECT_TRUE(report.triangles.empty());
+    ASSERT_EQ(report.found_per_rank.size(), config.num_ranks);
+    const auto found = std::accumulate(report.found_per_rank.begin(),
+                                       report.found_per_rank.end(), std::size_t{0});
+    EXPECT_GT(found, 0u) << "the run failed before finding anything — the case "
+                            "tests nothing";
+    EXPECT_GT(report.count.total_messages_sent, 0u);
+    EXPECT_GT(report.count.total_time, 0.0);
+
+    // The same engine without faults lists every triangle.
+    Config reliable = config;
+    reliable.fault_spec.clear();
+    const Report listed = Engine(g, reliable).enumerate();
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(listed.triangles.size(), listed.count.triangles);
 }
 
 }  // namespace

@@ -169,39 +169,12 @@ Outcome run(const graph::CsrGraph& g, const core::RunSpec& spec, Query kind,
     return out;
 }
 
-void expect_same_rank_metrics(const net::RankMetrics& a, const net::RankMetrics& b,
-                              const std::string& what) {
-    EXPECT_EQ(a.messages_sent, b.messages_sent) << what;
-    EXPECT_EQ(a.messages_received, b.messages_received) << what;
-    EXPECT_EQ(a.words_sent, b.words_sent) << what;
-    EXPECT_EQ(a.words_received, b.words_received) << what;
-    EXPECT_EQ(a.compute_ops, b.compute_ops) << what;
-    EXPECT_EQ(a.peak_buffered_words, b.peak_buffered_words) << what;
-}
-
 void expect_same_outcome(const Outcome& serial, const Outcome& parallel,
                          const std::string& what) {
     test::expect_identical_reports(serial.report, parallel.report, what);
     EXPECT_EQ(serial.report.faults, parallel.report.faults) << what;
-    ASSERT_EQ(serial.ranks.size(), parallel.ranks.size()) << what;
-    for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
-        expect_same_rank_metrics(serial.ranks[r], parallel.ranks[r],
-                                 what + " rank " + std::to_string(r));
-    }
-    ASSERT_EQ(serial.phases.size(), parallel.phases.size()) << what;
-    for (std::size_t i = 0; i < serial.phases.size(); ++i) {
-        const auto& a = serial.phases[i];
-        const auto& b = parallel.phases[i];
-        const std::string where = what + " phase " + std::to_string(i) + " " + a.name;
-        EXPECT_EQ(a.name, b.name) << where;
-        EXPECT_EQ(a.start_time, b.start_time) << where;
-        EXPECT_EQ(a.end_time, b.end_time) << where;
-        EXPECT_EQ(a.rank_busy_end, b.rank_busy_end) << where;
-        ASSERT_EQ(a.rank_delta.size(), b.rank_delta.size()) << where;
-        for (std::size_t r = 0; r < a.rank_delta.size(); ++r) {
-            expect_same_rank_metrics(a.rank_delta[r], b.rank_delta[r], where);
-        }
-    }
+    test::expect_identical_machine(serial.ranks, parallel.ranks, serial.phases,
+                                   parallel.phases, what);
 }
 
 struct GridCell {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
+#include "net/metrics.hpp"
 #include "report.hpp"
 #include "support/expect_count.hpp"
 
@@ -38,6 +40,46 @@ inline void expect_identical_reports(const Report& a, const Report& b,
     EXPECT_EQ(a.exact_type12, b.exact_type12) << what;
     EXPECT_EQ(a.estimated_type3, b.estimated_type3) << what;
     EXPECT_EQ(a.postprocess_time, b.postprocess_time) << what;
+}
+
+inline void expect_identical_rank_metrics(const net::RankMetrics& a,
+                                          const net::RankMetrics& b,
+                                          const std::string& what) {
+    EXPECT_EQ(a.messages_sent, b.messages_sent) << what;
+    EXPECT_EQ(a.messages_received, b.messages_received) << what;
+    EXPECT_EQ(a.words_sent, b.words_sent) << what;
+    EXPECT_EQ(a.words_received, b.words_received) << what;
+    EXPECT_EQ(a.compute_ops, b.compute_ops) << what;
+    EXPECT_EQ(a.peak_buffered_words, b.peak_buffered_words) << what;
+}
+
+/// The machine state a Report summarizes: every rank's counters and every
+/// superstep's record, per-rank clocks and metric deltas included.
+inline void expect_identical_machine(std::span<const net::RankMetrics> a_ranks,
+                                     std::span<const net::RankMetrics> b_ranks,
+                                     std::span<const net::PhaseRecord> a_phases,
+                                     std::span<const net::PhaseRecord> b_phases,
+                                     const std::string& what) {
+    ASSERT_EQ(a_ranks.size(), b_ranks.size()) << what;
+    for (std::size_t r = 0; r < a_ranks.size(); ++r) {
+        expect_identical_rank_metrics(a_ranks[r], b_ranks[r],
+                                      what + " rank " + std::to_string(r));
+    }
+    ASSERT_EQ(a_phases.size(), b_phases.size()) << what;
+    for (std::size_t i = 0; i < a_phases.size(); ++i) {
+        const auto& a = a_phases[i];
+        const auto& b = b_phases[i];
+        const std::string where = what + " phase " + std::to_string(i) + " " + a.name;
+        EXPECT_EQ(a.name, b.name) << where;
+        EXPECT_EQ(a.start_time, b.start_time) << where;
+        EXPECT_EQ(a.end_time, b.end_time) << where;
+        EXPECT_EQ(a.rank_busy_end, b.rank_busy_end) << where;
+        ASSERT_EQ(a.rank_delta.size(), b.rank_delta.size()) << where;
+        for (std::size_t r = 0; r < a.rank_delta.size(); ++r) {
+            expect_identical_rank_metrics(a.rank_delta[r], b.rank_delta[r],
+                                          where + " rank " + std::to_string(r));
+        }
+    }
 }
 
 }  // namespace katric::test
