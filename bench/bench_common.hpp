@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -52,7 +51,7 @@ inline void add_json_option(CliParser& cli) {
 inline Config engine_config(const CliParser& cli) { return Config::from_args(cli); }
 
 /// Every bench prints its machine-model constants so results are
-/// self-describing (DESIGN.md §1).
+/// self-describing.
 inline void print_header(const std::string& what, const net::NetworkConfig& config) {
     std::cout << "=== " << what << " ===\n"
               << "machine model: " << config.describe() << '\n'
@@ -63,20 +62,5 @@ inline void print_header(const std::string& what, const net::NetworkConfig& conf
 inline void print_header(const std::string& what, const Config& config) {
     print_header(what, config.network);
 }
-
-/// "OOM" or a fixed-precision number — the paper marks failed runs instead
-/// of plotting them.
-inline std::string time_or_oom(const core::CountResult& result) {
-    if (result.oom) { return "OOM"; }
-    std::ostringstream out;
-    out << std::scientific << std::setprecision(3) << result.total_time;
-    return out.str();
-}
-
-inline std::string time_or_oom(const Report& report) { return time_or_oom(report.count); }
-
-/// The single JSON emitter lives in the library now (katric::JsonWriter /
-/// Report::to_json); the old bench-local JsonReport name stays as an alias.
-using JsonReport = katric::JsonWriter;
 
 }  // namespace katric::bench

@@ -224,6 +224,9 @@ void JsonWriter::write(const std::string& path) const {
     std::ofstream out(path);
     KATRIC_ASSERT_MSG(out.good(), "cannot open JSON output path " << path);
     out << to_string();
+    // A full disk shows only once the buffer reaches the file.
+    out.flush();
+    KATRIC_ASSERT_MSG(out.good(), "cannot write JSON output path " << path);
 }
 
 JsonWriter& JsonWriter::raw(const std::string& key, std::string rendered) {

@@ -146,6 +146,7 @@ public:
     [[nodiscard]] std::string to_string() const;
 
     /// Writes the array; empty path is a no-op (JSON output not requested).
+    /// Throws assertion_error when the file cannot be opened or written.
     void write(const std::string& path) const;
 
 private:

@@ -1,13 +1,17 @@
 // katric::JsonWriter — the one JSON emitter every bench artifact and CI
 // gate reads back. The edge cases that matter: string escaping (quotes,
 // backslashes, control characters must produce RFC 8259-clean output),
-// array-valued fields, empty documents, and the Report phase arrays.
+// array-valued fields, empty documents, the Report phase arrays, and a
+// write that fails after the file opened.
 
 #include "report.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "net/metrics.hpp"
+#include "util/assert.hpp"
 
 namespace katric {
 namespace {
@@ -92,6 +96,14 @@ TEST(JsonWriter, MultipleRowsSeparatedByCommas) {
     json.begin_row().field("a", std::uint64_t{1});
     json.begin_row().field("a", std::uint64_t{2});
     EXPECT_EQ(json.to_string(), "[\n  {\"a\": 1},\n  {\"a\": 2}\n]\n");
+}
+
+TEST(JsonWriter, WriteFailureThrows) {
+    // /dev/full opens fine and fails every write, like a full disk.
+    if (!std::filesystem::exists("/dev/full")) { GTEST_SKIP() << "no /dev/full"; }
+    JsonWriter json;
+    json.begin_row().field("a", std::uint64_t{1});
+    EXPECT_THROW(json.write("/dev/full"), assertion_error);
 }
 
 TEST(ReportJson, DefaultReportOmitsPhaseArrays) {
