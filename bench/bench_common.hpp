@@ -1,9 +1,7 @@
 #pragma once
 
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "config.hpp"
 #include "engine.hpp"
@@ -13,24 +11,6 @@
 #include "util/table.hpp"
 
 namespace katric::bench {
-
-/// Algorithm list parsing for `--algos DITRIC,CETRIC2,...`.
-inline std::vector<core::Algorithm> parse_algorithms(const std::string& csv) {
-    std::vector<core::Algorithm> result;
-    std::string token;
-    std::stringstream stream(csv);
-    while (std::getline(stream, token, ',')) {
-        const auto algorithm = core::parse_algorithm(token);
-        if (!algorithm) { KATRIC_THROW("unknown algorithm '" << token << "'"); }
-        result.push_back(*algorithm);
-    }
-    KATRIC_ASSERT_MSG(!result.empty(), "empty algorithm list");
-    return result;
-}
-
-inline std::string default_algorithms_csv() {
-    return "DITRIC,DITRIC2,CETRIC,CETRIC2,HavoqGT-style,TriC-style";
-}
 
 /// The one shared flag registrar (no per-bench copies): declares every
 /// katric::Config flag — `--algorithm`, `--ranks`, `--network`,

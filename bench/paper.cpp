@@ -1,6 +1,7 @@
 // The paper driver: every figure, table and ablation of the evaluation
 // (Fig. 2, Figs. 5–8, Table I, the Section IV ablations and the Section IV-E
-// AMQ trade-off) as a named grid, plus `golden-core`, a grid over the
+// AMQ trade-off) as a named grid, plus `stream`, incremental maintenance
+// against a full pass per batch, and `golden-core`, a grid over the
 // configuration space. Each grid holds its axes at two sizes: `paper` (the
 // figures' sizes) and `golden` (n <= 1024, small p). Every cell becomes one
 // JSON row — a Report's fields plus the cell's key — and every exact result
@@ -287,19 +288,12 @@ public:
         }
     }
 
-    /// Checks, then emits one row: the cell, the Report's fields, the phase
-    /// message counts, payload digests and (with `config`) its flags.
+    /// Checks, then emits one row: the cell, the Report's fields, payload
+    /// digests and (with `config`) its flags.
     JsonWriter& report(const std::string& cell, const Report& report,
                        Expect expect = Expect::kAnswer, const Config* config = nullptr) {
         check(cell, report, expect);
         auto& json = row(cell).report_fields(report);
-        std::vector<std::uint64_t> messages;
-        for (const auto& phase : report.phases) {
-            messages.push_back(phase.messages_sent);
-        }
-        if (!messages.empty()) {
-            json.field("phase_messages_sent", std::span<const std::uint64_t>(messages));
-        }
         if (!report.delta.empty()) { json.field("delta_hash", digest(report.delta)); }
         if (!report.lcc.empty()) { json.field("lcc_hash", digest(report.lcc)); }
         if (!report.triangles.empty()) {
@@ -788,16 +782,7 @@ void golden_core(Output& out) {
                     if (!stats.error.ok() || stats.triangles != oracle.triangles()) {
                         out.fail(batch_cell, "count differs from a full recount");
                     }
-                    auto& json = out.row(batch_cell);
-                    json.field("events", std::uint64_t{stats.events})
-                        .field("net_inserts", std::uint64_t{stats.net_inserts})
-                        .field("net_deletes", std::uint64_t{stats.net_deletes})
-                        .field("delta", std::int64_t{stats.delta})
-                        .field("triangles", stats.triangles)
-                        .field("seconds", stats.seconds)
-                        .field("lcc_seconds", stats.lcc_seconds)
-                        .field("messages_sent", stats.messages_sent)
-                        .field("words_sent", stats.words_sent);
+                    auto& json = out.row(batch_cell).batch_fields(stats);
                     if (config.maintain_lcc) {
                         const auto delta = session.delta();
                         const auto coefficients = session.lcc();
@@ -810,6 +795,59 @@ void golden_core(Output& out) {
                     }
                     json.field("command", config.to_command_line());
                 }
+            }
+        }
+    }
+}
+
+// --- streaming -------------------------------------------------------------
+
+/// Incremental maintenance against a full static pass after every batch
+/// (Tangwongsan et al.'s comparison): a churn stream on RGG2D under CETRIC,
+/// counting alone (lcc=0, against a full recount) and with per-vertex LCC
+/// maintained (lcc=1, against a full LCC recompute). The full pass rebuilds
+/// the current graph, so it pays the whole static pipeline each time.
+void streaming(Output& out) {
+    const auto g = rgg(VertexId{1} << out.pick(12, 9), 17);
+    const auto batches =
+        stream::make_churn_stream(g, out.pick(4096, 256), 0.4, 99)
+            .batches_of(out.pick(256, 64));
+    for (const bool lcc : {false, true}) {
+        Config config = out.config(out.pick(16, 4));
+        config.algorithm = Algorithm::kCetric;
+        config.maintain_lcc = lcc;
+        Engine engine(g, config);
+        auto session = engine.open_stream();
+        if (session.initial().triangles != Oracle(g).triangles()) {
+            out.fail(key("lcc", lcc), "initial count differs from the oracle");
+        }
+        for (const auto& batch : batches) {
+            const auto stats = session.ingest(batch);
+            const auto cell = key("lcc", lcc) + " " + key("batch", stats.batch_index);
+            const auto current = session.materialize_global();
+            out.instance(current);
+            Engine recount_engine(current, config);
+            const auto full = lcc ? recount_engine.lcc() : recount_engine.count();
+            out.check(cell, full, Expect::kAnswer);
+            if (!stats.error.ok() || stats.triangles != full.count.triangles) {
+                out.fail(cell, "count differs from a full recount");
+            }
+            const double incremental = stats.seconds + stats.lcc_seconds;
+            auto& json =
+                out.row(cell)
+                    .batch_fields(stats)
+                    .field("recount_seconds", full.count.total_time)
+                    .field("recount_words", full.count.total_words_sent)
+                    .field("speedup",
+                           incremental > 0.0 ? full.count.total_time / incremental : 0.0);
+            if (lcc) {
+                const auto coefficients = session.lcc();
+                if (session.delta() != full.delta || !same_bits(coefficients, full.lcc)) {
+                    out.fail(cell, "Δ or LCC differs from a full recompute");
+                }
+                double sum = 0.0;
+                for (const double value : coefficients) { sum += value; }
+                json.field("avg_lcc", sum / static_cast<double>(coefficients.size()));
             }
         }
     }
@@ -877,6 +915,12 @@ const std::vector<Grid>& grids() {
          {"triangles", "estimated_triangles", "estimate", "rel_err_pct",
           "total_words_sent", "volume_vs_exact_pct", "sparsified_pct"},
          "AMQ trades error for volume and, unlike sampling, also yields LCC"},
+        {"stream", "Streaming: incremental maintenance vs a full pass per batch",
+         streaming,
+         {"net_inserts", "net_deletes", "triangles", "seconds", "lcc_seconds",
+          "recount_seconds", "speedup"},
+         "incremental cost per batch tracks the batch's net effect, not |E|; the full "
+         "pass pays the whole static pipeline (and LCC's postprocess) every batch"},
         {"golden-core", "Golden core: the config space at n = 512", golden_core,
          {"query", "ok", "triangles", "total_time", "total_words_sent"},
          "every exact result equals the sequential oracle"},

@@ -80,6 +80,6 @@ int main() {
               << " s simulated\n"
               << "(per-window cost = incremental count + one Δ-flush phase; a full "
                  "compute_distributed_lcc would pay the whole pipeline per window — "
-                 "see bench_stream_lcc)\n";
+                 "see bench_paper --grid stream)\n";
     return 0;
 }

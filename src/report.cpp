@@ -201,7 +201,26 @@ JsonWriter& JsonWriter::report_fields(const Report& report) {
             break;
         }
     }
+    if (!report.phases.empty()) {
+        std::vector<std::uint64_t> messages;
+        for (const auto& phase : report.phases) {
+            messages.push_back(phase.messages_sent);
+        }
+        field("phase_messages_sent", std::span<const std::uint64_t>(messages));
+    }
     return *this;
+}
+
+JsonWriter& JsonWriter::batch_fields(const stream::BatchStats& stats) {
+    field("events", std::uint64_t{stats.events});
+    field("net_inserts", std::uint64_t{stats.net_inserts});
+    field("net_deletes", std::uint64_t{stats.net_deletes});
+    field("delta", std::int64_t{stats.delta});
+    field("triangles", stats.triangles);
+    field("seconds", stats.seconds);
+    field("lcc_seconds", stats.lcc_seconds);
+    field("messages_sent", stats.messages_sent);
+    return field("words_sent", stats.words_sent);
 }
 
 std::string JsonWriter::to_string() const {

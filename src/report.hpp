@@ -140,8 +140,13 @@ public:
     JsonWriter& field(const std::string& key, std::span<const std::uint64_t> values);
 
     /// Appends a Report's scalar fields onto the current row — the shared
-    /// vocabulary every bench's --json artifact speaks.
+    /// vocabulary every bench's --json artifact speaks. The per-phase
+    /// message counts come last, after the query-specific fields.
     JsonWriter& report_fields(const Report& report);
+
+    /// Appends one stream batch's counters onto the current row, `events`
+    /// through `words_sent` (the batch index is the caller's key).
+    JsonWriter& batch_fields(const stream::BatchStats& stats);
 
     [[nodiscard]] std::string to_string() const;
 

@@ -1,8 +1,8 @@
 // katric::JsonWriter — the one JSON emitter every bench artifact and CI
 // gate reads back. The edge cases that matter: string escaping (quotes,
 // backslashes, control characters must produce RFC 8259-clean output),
-// array-valued fields, empty documents, the Report phase arrays, and a
-// write that fails after the file opened.
+// array-valued fields, empty documents, the Report phase arrays, the
+// stream-batch fields, and a write that fails after the file opened.
 
 #include "report.hpp"
 
@@ -106,6 +106,26 @@ TEST(JsonWriter, WriteFailureThrows) {
     EXPECT_THROW(json.write("/dev/full"), assertion_error);
 }
 
+TEST(JsonWriter, BatchFieldsInGoldenOrder) {
+    stream::BatchStats stats;
+    stats.batch_index = 3;
+    stats.events = 64;
+    stats.net_inserts = 30;
+    stats.net_deletes = 20;
+    stats.delta = -5;
+    stats.triangles = 100;
+    stats.seconds = 0.5;
+    stats.lcc_seconds = 0.25;
+    stats.messages_sent = 12;
+    stats.words_sent = 480;
+    JsonWriter json;
+    json.begin_row().batch_fields(stats);
+    EXPECT_EQ(json.to_string(),
+              "[\n  {\"events\": 64, \"net_inserts\": 30, \"net_deletes\": 20, "
+              "\"delta\": -5, \"triangles\": 100, \"seconds\": 0.5, "
+              "\"lcc_seconds\": 0.25, \"messages_sent\": 12, \"words_sent\": 480}\n]\n");
+}
+
 TEST(ReportJson, DefaultReportOmitsPhaseArrays) {
     const Report report;
     const auto rendered = report.to_json();
@@ -124,6 +144,7 @@ TEST(ReportJson, PhasesEmitParallelArraysAndTable) {
     EXPECT_NE(rendered.find("\"phase_seconds\": [0.5, 0.25]"), std::string::npos);
     EXPECT_NE(rendered.find("\"phase_supersteps\": [3, 1]"), std::string::npos);
     EXPECT_NE(rendered.find("\"phase_words_sent\": [100, 0]"), std::string::npos);
+    EXPECT_NE(rendered.find("\"phase_messages_sent\": [10, 0]"), std::string::npos);
 
     const auto table = report.phase_table();
     EXPECT_NE(table.find("preprocessing"), std::string::npos);

@@ -244,7 +244,7 @@ TEST(EngineTrace, EnginesSharingAPathShareOneTimeline) {
 }
 
 /// CI hook: when KATRIC_TRACE_FILE names a trace artifact (the smoke job
-/// points it at a traced bench_engine_amortization run), validate it against
+/// points it at a traced `bench_host --section amortization` run), validate it against
 /// the full schema. Skipped in a plain local run.
 TEST(EngineTrace, ValidatesExternalArtifactFromEnv) {
     const char* path = std::getenv("KATRIC_TRACE_FILE");
