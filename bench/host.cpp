@@ -9,8 +9,10 @@
 //     per-query rebuild (--warm-gate: percent saved); the mixed
 //     count/LCC/enumerate/approx workload, charged and uncharged, which
 //     must agree. With --trace-out, the shared trace is schema-checked.
-//   serving — one warm engine serves a batch of family counts at each
-//     worker count; every served count must equal a sequential baseline.
+//   serving — after ~0.5 s of untimed rounds at the largest worker count
+//     (an idle VM's vCPUs need that long to run threads in parallel), one
+//     warm engine serves a batch of family counts at each worker count;
+//     every served count must equal a sequential baseline.
 //     On >= 4 hardware threads the 4-worker throughput must reach
 //     --speedup-gate percent of the 1-worker one; on smaller hosts it must
 //     reach --overhead-gate percent.
@@ -27,6 +29,7 @@
 // mode, n, m, p, ...keys, reps, median_s, iqr_s, min_s, ...scalars}.
 // Snapshot: bench/BENCH_host.json.
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <iostream>
@@ -55,6 +58,8 @@ const std::vector<Algorithm> kSweep = {
     Algorithm::kCetric2, Algorithm::kHavoqgtStyle, Algorithm::kTricStyle};
 /// The faulty mode's plan: it must recover within the retry budget.
 constexpr const char* kFaultySpec = "seed=29;drop=0.002;dup=0.002;bitflip=0.001";
+/// Untimed serving rounds before the timed ones, in seconds (see serving()).
+constexpr double kWakeSeconds = 0.5;
 
 /// One untimed warmup call of `run`, then `reps` calls; `run` returns the
 /// seconds it measured.
@@ -363,34 +368,47 @@ bool serving(Output& out, const Run& run) {
     // the first submit to the drain.
     Engine engine(g, config);
     bool identical = true;
+    const auto serve_round = [&](std::uint64_t workers) {
+        ServeOptions options;
+        options.threads = static_cast<int>(workers);
+        options.queue_depth = num_requests;  // admission never rejects here
+        auto session = engine.serve(options);
+        std::vector<std::future<Report>> futures;
+        futures.reserve(num_requests);
+        WallTimer timer;
+        for (const auto& request : requests) {
+            futures.push_back(session.submit(request));
+        }
+        session.drain();
+        const double seconds = timer.elapsed_seconds();
+        for (std::uint64_t i = 0; i < num_requests; ++i) {
+            const auto report = futures[i].get();
+            identical = identical && report.ok() && report.count.triangles == expected[i];
+        }
+        return std::pair{seconds, session.stats()};
+    };
+
+    // On a VM that sat idle, newly busy vCPUs run threads one after another
+    // for about the first half second, and smoke rounds (10–30 ms) would time
+    // that serial machine instead of the serve path. Untimed rounds at the
+    // largest worker count keep every core busy until the host is awake.
+    const auto counts = worker_counts(run.cli.get_string("workers"));
+    const auto widest =
+        counts.empty() ? 1 : *std::max_element(counts.begin(), counts.end());
+    for (WallTimer wake; wake.elapsed_seconds() < kWakeSeconds;) { serve_round(widest); }
+
     std::vector<std::pair<std::uint64_t, Summary>> walls;
     std::vector<Summary> p50;
     std::vector<Summary> p99;
-    for (const auto workers : worker_counts(run.cli.get_string("workers"))) {
+    for (const auto workers : counts) {
         std::size_t round = 0;
         p50.emplace_back();
         p99.emplace_back();
         const auto wall = repeat(run.reps, [&] {
-            ServeOptions options;
-            options.threads = static_cast<int>(workers);
-            options.queue_depth = num_requests;  // admission never rejects here
-            auto session = engine.serve(options);
-            std::vector<std::future<Report>> futures;
-            futures.reserve(num_requests);
-            WallTimer timer;
-            for (const auto& request : requests) {
-                futures.push_back(session.submit(request));
-            }
-            session.drain();
-            const double seconds = timer.elapsed_seconds();
-            for (std::uint64_t i = 0; i < num_requests; ++i) {
-                const auto report = futures[i].get();
-                identical = identical && report.ok()
-                            && report.count.triangles == expected[i];
-            }
+            const auto [seconds, stats] = serve_round(workers);
             if (round++ > 0) {  // not the warmup
-                p50.back().add(session.stats().latency_p50);
-                p99.back().add(session.stats().latency_p99);
+                p50.back().add(stats.latency_p50);
+                p99.back().add(stats.latency_p99);
             }
             return seconds;
         });

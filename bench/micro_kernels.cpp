@@ -1,6 +1,6 @@
-// Kernel-comparison harness for the intersection subsystem: merge vs binary
-// vs galloping vs SIMD block-merge vs hub-bitmap probes, swept across size
-// ratios (1:1 … 1:1024) and densities (mean gap between consecutive IDs).
+// Kernel-comparison harness for the intersection subsystem: merge, window
+// galloping, block merge and hub-bitmap probes, swept across size ratios
+// (1:1 … 1:1024) and densities (mean gap between consecutive IDs).
 // Doubles as a correctness gate — every kernel must report the merge
 // oracle's count on every configuration or the harness exits non-zero —
 // and emits the same --json artifact format as the stream benches
@@ -91,7 +91,7 @@ double time_ns_per_call(Fn&& fn, double min_ms) {
 int main(int argc, char** argv) {
     using namespace katric;
     CliParser cli("bench_micro_kernels",
-                  "intersection kernel comparison: merge|binary|galloping|simd|bitmap "
+                  "intersection kernel comparison: merge|galloping|simd|bitmap "
                   "across size ratios and densities");
     cli.option("large", "8192", "size of the large (hub) operand");
     cli.option("ratios", "1,4,16,64,256,1024", "size ratios large:small to sweep");
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     cli.option("seed", "42", "RNG seed");
     bench::add_json_option(cli);
     cli.flag("smoke", "CI preset: small sizes, short timings");
-    cli.flag("scalar", "force the scalar fallbacks (as if AVX2 were absent)");
+    cli.flag("scalar", "run the portable 4-lane pair (as if AVX2 were absent)");
     if (!cli.parse(argc, argv)) { return 0; }
 
     if (cli.get_flag("scalar")) { seq::force_scalar_simd(true); }
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
 
     std::cout << "=== Intersection kernels ===\n"
               << "large = " << large_size << ", SIMD "
-              << (seq::simd_available() ? "AVX2" : "scalar fallback")
+              << (seq::simd_available() ? "AVX2" : "portable lanes")
               << ", time = wall ns per intersection call; ops = charged simulator "
                  "cost\n\n";
 
@@ -156,9 +156,6 @@ int main(int argc, char** argv) {
             std::vector<Kernel> kernels;
             kernels.push_back({"merge", measure([&] {
                                    return seq::intersect_merge(small, large);
-                               }, min_ms)});
-            kernels.push_back({"binary", measure([&] {
-                                   return seq::intersect_binary(small, large);
                                }, min_ms)});
             kernels.push_back({"galloping", measure([&] {
                                    return seq::intersect_simd_galloping(small, large);

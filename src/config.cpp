@@ -114,10 +114,10 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
                "per-PE buffered-communication budget in words "
                "(default: from --network)");
     cli.option("intersect", seq::intersect_kind_name(defaults.options.intersect),
-               "intersection kernel (adaptive|merge|binary|hybrid|galloping|simd|"
-               "bitmap)");
+               "intersection kernel: merge (the paper's merge scan) or adaptive "
+               "(hub bitmap, window galloping or block merge per call)");
     cli.option("hub-threshold", std::to_string(defaults.options.hub_threshold),
-               "hub bitmap degree threshold for adaptive/bitmap kernels (0 = auto)");
+               "hub bitmap degree threshold for the adaptive kernel (0 = auto)");
     cli.option("buffer-threshold",
                std::to_string(defaults.options.buffer_threshold_words),
                "message-queue buffer threshold δ in words (0 = auto O(|E_i|))");

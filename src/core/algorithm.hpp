@@ -64,10 +64,10 @@ struct AlgorithmOptions {
     /// max(1024, |E_i|) per PE, the paper's O(|E_i|) linear-memory setting.
     std::uint64_t buffer_threshold_words = 0;
     seq::IntersectKind intersect = seq::IntersectKind::kMerge;
-    /// Degree threshold for the hub bitmap index (kAdaptive/kBitmap kernels
-    /// only). 0 = automatic: max(8, 4 × the rank's mean oriented row
-    /// length), recomputed per rank from its local view — the graph_stats
-    /// intuition that hubs are the far tail of the degree distribution.
+    /// Degree threshold for the hub bitmap index (kAdaptive kernel only).
+    /// 0 = automatic: max(8, 4 × the rank's mean oriented row length),
+    /// recomputed per rank from its local view — the graph_stats intuition
+    /// that hubs are the far tail of the degree distribution.
     graph::Degree hub_threshold = 0;
     /// Hybrid mode: threads per MPI rank for the local phase (Section IV-D);
     /// 1 = plain MPI variant. A *simulated* model, charged to simulated
@@ -175,7 +175,7 @@ inline std::uint64_t charged_intersect(net::RankHandle& self,
 /// True when `kind` wants the per-rank hub bitmap index materialized during
 /// preprocessing.
 [[nodiscard]] constexpr bool uses_hub_bitmaps(seq::IntersectKind kind) noexcept {
-    return kind == seq::IntersectKind::kBitmap || kind == seq::IntersectKind::kAdaptive;
+    return kind == seq::IntersectKind::kAdaptive;
 }
 
 /// True when a run of `algorithm` under `options` intersects through hub

@@ -8,8 +8,6 @@ namespace katric::obs {
 std::string kernel_choice_name(KernelChoice choice) {
     switch (choice) {
         case KernelChoice::kMerge: return "merge";
-        case KernelChoice::kBinary: return "binary";
-        case KernelChoice::kHybrid: return "hybrid";
         case KernelChoice::kGalloping: return "galloping";
         case KernelChoice::kSimdMerge: return "simd_merge";
         case KernelChoice::kBitmapHubHub: return "bitmap_hub_hub";

@@ -8,29 +8,27 @@
 namespace katric::obs {
 
 /// The kernel a dispatcher actually executed for one intersection — finer
-/// grained than seq::IntersectKind because the adaptive/bitmap kinds resolve
-/// to different kernels per call (and the hub path splits into word-AND vs
+/// grained than seq::IntersectKind because the adaptive kind resolves to
+/// different kernels per call (and the hub path splits into word-AND vs
 /// probe). This is the substrate for crossover tuning: pairing each choice
 /// with the operand-size bucket it fired in shows where the dispatch
 /// boundaries actually sit on a live workload.
 enum class KernelChoice : std::uint8_t {
     kMerge,         ///< scalar merge scan
-    kBinary,        ///< per-element binary probes
-    kHybrid,        ///< size-ratio merge/binary choice (paper-era kernel)
-    kGalloping,     ///< cursor galloping (SIMD front scan when available)
-    kSimdMerge,     ///< AVX2 block merge (scalar merge when unavailable)
+    kGalloping,     ///< window galloping
+    kSimdMerge,     ///< 4-lane block merge
     kBitmapHubHub,  ///< hub∩hub word-AND + popcount
     kBitmapProbe,   ///< non-hub row probed through a hub bitmap
 };
 
-inline constexpr std::size_t kNumKernelChoices = 7;
+inline constexpr std::size_t kNumKernelChoices = 5;
 
 [[nodiscard]] std::string kernel_choice_name(KernelChoice choice);
 
 /// Dispatch-mix counters recorded by seq::AdaptiveIntersect: how often each
 /// kernel fired, bucketed by the smaller operand's log₂ size (the cost
 /// driver of every kernel), plus hub-bitmap hit/miss rates for the
-/// hub-aware kinds. Recording is a single array increment on the already
+/// adaptive kind. Recording is a single array increment on the already
 /// decided branch — cheap enough for the per-intersection hot path — and
 /// entirely skipped when no stats object is attached (the disabled default).
 ///
@@ -46,7 +44,7 @@ struct alignas(64) KernelStats {
     static constexpr std::size_t kBuckets = 24;
 
     std::array<std::array<std::uint64_t, kBuckets>, kNumKernelChoices> dispatch{};
-    /// Hub-index outcomes on the kAdaptive/kBitmap kinds: a hit means at
+    /// Hub-index outcomes on the kAdaptive kind: a hit means at
     /// least one operand was served from its bitmap; a miss means an index
     /// existed but covered neither operand (the dispatcher fell through to
     /// the size-adaptive choice).
@@ -60,7 +58,7 @@ struct alignas(64) KernelStats {
 
     [[nodiscard]] std::uint64_t total() const noexcept;
     [[nodiscard]] std::uint64_t total(KernelChoice choice) const noexcept;
-    /// hits / (hits + misses); 0 when the hub kinds never ran.
+    /// hits / (hits + misses); 0 when the adaptive kind never ran.
     [[nodiscard]] double hub_hit_rate() const noexcept;
 
     /// Dispatch-mix table: one line per (choice, bucket) with a non-zero

@@ -51,96 +51,35 @@ std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs,
 
 }  // namespace
 
-IntersectResult AdaptiveIntersect::count(std::span<const graph::VertexId> a,
-                                         std::span<const graph::VertexId> b,
-                                         graph::VertexId a_id,
-                                         graph::VertexId b_id) const {
+IntersectResult AdaptiveIntersect::run(std::span<const graph::VertexId> a,
+                                       std::span<const graph::VertexId> b,
+                                       std::vector<graph::VertexId>* out,
+                                       graph::VertexId a_id, graph::VertexId b_id) const {
     const std::size_t smaller = std::min(a.size(), b.size());
-    switch (kind_) {
-        case IntersectKind::kMerge:
-            note(obs::KernelChoice::kMerge, smaller);
-            return intersect_merge(a, b);
-        case IntersectKind::kBinary:
-            note(obs::KernelChoice::kBinary, smaller);
-            return intersect_binary(a, b);
-        case IntersectKind::kHybrid:
-            note(obs::KernelChoice::kHybrid, smaller);
-            return intersect_hybrid(a, b);
-        case IntersectKind::kGalloping:
-            note(obs::KernelChoice::kGalloping, smaller);
-            return intersect_simd_galloping(a, b);
-        case IntersectKind::kSimd:
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge(a, b);
-        case IntersectKind::kBitmap:
-            // No hub coverage: degrade exactly like the span-only
-            // seq::intersect() entry point, so the named kernel charges the
-            // same ops on every call path.
-            [[fallthrough]];
-        case IntersectKind::kAdaptive: {
-            obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
-            if (auto r = try_bitmap(hubs_, a, b, a_id, b_id, nullptr, bitmap_choice)) {
-                if (stats_ != nullptr) {
-                    ++stats_->hub_hits;
-                    stats_->record(bitmap_choice, smaller);
-                }
-                return *r;
-            }
-            if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
-                ++stats_->hub_misses;
-            }
-            if (probe_search_pays_off(a.size(), b.size())) {
-                note(obs::KernelChoice::kGalloping, smaller);
-                return intersect_simd_galloping(a, b);
-            }
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge(a, b);
-        }
+    if (kind_ == IntersectKind::kMerge) {
+        note(obs::KernelChoice::kMerge, smaller);
+        return out == nullptr ? intersect_merge(a, b)
+                              : intersect_merge_collect(a, b, *out);
     }
-    return {};
-}
-
-IntersectResult AdaptiveIntersect::collect(std::span<const graph::VertexId> a,
-                                           std::span<const graph::VertexId> b,
-                                           std::vector<graph::VertexId>& out,
-                                           graph::VertexId a_id,
-                                           graph::VertexId b_id) const {
-    const std::size_t smaller = std::min(a.size(), b.size());
-    switch (kind_) {
-        case IntersectKind::kMerge:
-        case IntersectKind::kBinary:
-        case IntersectKind::kHybrid:
-            note(obs::KernelChoice::kMerge, smaller);
-            return intersect_merge_collect(a, b, out);
-        case IntersectKind::kGalloping:
-            note(obs::KernelChoice::kGalloping, smaller);
-            return intersect_simd_galloping_collect(a, b, out);
-        case IntersectKind::kSimd:
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge_collect(a, b, out);
-        case IntersectKind::kBitmap:
-            [[fallthrough]];  // no hub coverage degrades like kAdaptive
-        case IntersectKind::kAdaptive: {
-            obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
-            if (auto r = try_bitmap(hubs_, a, b, a_id, b_id, &out, bitmap_choice)) {
-                if (stats_ != nullptr) {
-                    ++stats_->hub_hits;
-                    stats_->record(bitmap_choice, smaller);
-                }
-                return *r;
-            }
-            if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
-                ++stats_->hub_misses;
-            }
-            if (probe_search_pays_off(a.size(), b.size())) {
-                note(obs::KernelChoice::kGalloping, smaller);
-                return intersect_simd_galloping_collect(a, b, out);
-            }
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge_collect(a, b, out);
+    obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
+    if (auto r = try_bitmap(hubs_, a, b, a_id, b_id, out, bitmap_choice)) {
+        if (stats_ != nullptr) {
+            ++stats_->hub_hits;
+            stats_->record(bitmap_choice, smaller);
         }
+        return *r;
     }
-    return {};
+    if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
+        ++stats_->hub_misses;
+    }
+    if (probe_search_pays_off(a.size(), b.size())) {
+        note(obs::KernelChoice::kGalloping, smaller);
+        return out == nullptr ? intersect_simd_galloping(a, b)
+                              : intersect_simd_galloping_collect(a, b, *out);
+    }
+    note(obs::KernelChoice::kSimdMerge, smaller);
+    return out == nullptr ? intersect_simd_merge(a, b)
+                          : intersect_simd_merge_collect(a, b, *out);
 }
 
 }  // namespace katric::seq

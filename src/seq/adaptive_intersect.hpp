@@ -17,27 +17,21 @@ namespace katric::seq {
 ///
 ///   kind        | decision
 ///   ------------+------------------------------------------------------
-///   merge       | scalar merge, always
-///   binary      | per-element binary probes of the larger side
-///   hybrid      | size-ratio choice between merge and binary (paper-era)
-///   galloping   | cursor galloping (SIMD front scan when available)
-///   simd        | AVX2 block merge (scalar merge when unavailable)
-///   bitmap      | identical to adaptive (hub bitmap where indexed, the
-///               | size-adaptive choice elsewhere) — kept as a separate
-///               | CLI name so runs can document the intent
-///   adaptive    | hub bitmap if indexed; else galloping when
-///               | probe_search_pays_off(|a|,|b|); else SIMD block merge
+///   merge       | scalar merge, always (the paper's kernel)
+///   adaptive    | hub bitmap if indexed; else window galloping when
+///               | probe_search_pays_off(|a|,|b|); else block merge
 ///
 /// For the bitmap paths, hub∩hub additionally compares the word-AND cost
 /// against probing the smaller row and takes the cheaper one. All kernels
 /// return exactly the same count/elements; only the measured `ops` — and
-/// therefore the simulated compute charge — differ.
+/// therefore the simulated compute charge — differ, and they never depend
+/// on the host's ISA.
 ///
 /// When an obs::KernelStats sink is attached, every call additionally
 /// records the kernel that actually fired (bucketed by smaller-operand
-/// size) and, on the hub-aware kinds, whether the hub index served the
-/// call — the dispatch-mix telemetry behind crossover tuning. With the
-/// default null sink the recording branch is a single predictable test.
+/// size) and, on the adaptive kind, whether the hub index served the call
+/// — the dispatch-mix telemetry behind crossover tuning. With the default
+/// null sink the recording branch is a single predictable test.
 class AdaptiveIntersect {
 public:
     AdaptiveIntersect() = default;
@@ -54,7 +48,9 @@ public:
     [[nodiscard]] IntersectResult count(
         std::span<const graph::VertexId> a, std::span<const graph::VertexId> b,
         graph::VertexId a_id = graph::kInvalidVertex,
-        graph::VertexId b_id = graph::kInvalidVertex) const;
+        graph::VertexId b_id = graph::kInvalidVertex) const {
+        return run(a, b, nullptr, a_id, b_id);
+    }
 
     /// Collect variant: appends the common elements to `out` in ascending
     /// order (the merge-collect contract, honored by every kernel).
@@ -62,9 +58,16 @@ public:
                             std::span<const graph::VertexId> b,
                             std::vector<graph::VertexId>& out,
                             graph::VertexId a_id = graph::kInvalidVertex,
-                            graph::VertexId b_id = graph::kInvalidVertex) const;
+                            graph::VertexId b_id = graph::kInvalidVertex) const {
+        return run(a, b, &out, a_id, b_id);
+    }
 
 private:
+    IntersectResult run(std::span<const graph::VertexId> a,
+                        std::span<const graph::VertexId> b,
+                        std::vector<graph::VertexId>* out, graph::VertexId a_id,
+                        graph::VertexId b_id) const;
+
     void note(obs::KernelChoice choice, std::size_t smaller) const noexcept {
         if (stats_ != nullptr) { stats_->record(choice, smaller); }
     }

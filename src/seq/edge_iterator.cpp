@@ -1,7 +1,7 @@
 #include "seq/edge_iterator.hpp"
 
 #include "graph/orientation.hpp"
-#include "seq/adaptive_intersect.hpp"
+#include "seq/intersection.hpp"
 #include "util/assert.hpp"
 
 namespace katric::seq {
@@ -24,13 +24,13 @@ std::uint64_t count_brute_force(const CsrGraph& undirected) {
     return triangles;
 }
 
-SeqCountResult count_oriented(const CsrGraph& oriented, IntersectKind kind) {
+SeqCountResult count_oriented(const CsrGraph& oriented) {
     KATRIC_ASSERT(oriented.is_oriented());
     SeqCountResult result;
     for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
         const auto out_v = oriented.neighbors(v);
         for (VertexId u : out_v) {
-            const auto r = intersect(kind, out_v, oriented.neighbors(u));
+            const auto r = intersect_merge(out_v, oriented.neighbors(u));
             result.triangles += r.count;
             result.ops += r.ops;
         }
@@ -38,8 +38,8 @@ SeqCountResult count_oriented(const CsrGraph& oriented, IntersectKind kind) {
     return result;
 }
 
-SeqCountResult count_edge_iterator(const CsrGraph& undirected, IntersectKind kind) {
-    return count_oriented(graph::orient_by_degree(undirected), kind);
+SeqCountResult count_edge_iterator(const CsrGraph& undirected) {
+    return count_oriented(graph::orient_by_degree(undirected));
 }
 
 SeqCountResult count_wedge_check(const CsrGraph& undirected) {
@@ -59,17 +59,15 @@ SeqCountResult count_wedge_check(const CsrGraph& undirected) {
     return result;
 }
 
-std::vector<std::uint64_t> per_vertex_triangles(const CsrGraph& undirected,
-                                                IntersectKind kind) {
+std::vector<std::uint64_t> per_vertex_triangles(const CsrGraph& undirected) {
     const CsrGraph oriented = graph::orient_by_degree(undirected);
-    const AdaptiveIntersect isect(kind);
     std::vector<std::uint64_t> delta(undirected.num_vertices(), 0);
     auto& closing = collect_scratch();
     for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
         const auto out_v = oriented.neighbors(v);
         for (VertexId u : out_v) {
             closing.clear();
-            isect.collect(out_v, oriented.neighbors(u), closing, v, u);
+            intersect_merge_collect(out_v, oriented.neighbors(u), closing);
             delta[v] += closing.size();
             delta[u] += closing.size();
             for (VertexId w : closing) { ++delta[w]; }

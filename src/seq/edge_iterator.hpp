@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "seq/intersection.hpp"
 
 namespace katric::seq {
 
@@ -20,13 +19,12 @@ struct SeqCountResult {
 
 /// EDGEITERATOR / COMPACT-FORWARD (Algorithm 1): orient by degree, then for
 /// every directed edge (v,u) add |N⁺(v) ∩ N⁺(u)|. Each triangle is counted
-/// exactly once, at the edge between its two ≺-smallest vertices.
-[[nodiscard]] SeqCountResult count_edge_iterator(const graph::CsrGraph& undirected,
-                                                 IntersectKind kind = IntersectKind::kMerge);
+/// exactly once, at the edge between its two ≺-smallest vertices. The
+/// sequential oracles always intersect with intersect_merge.
+[[nodiscard]] SeqCountResult count_edge_iterator(const graph::CsrGraph& undirected);
 
 /// Same loop on a pre-oriented graph (any orientation from a total order).
-[[nodiscard]] SeqCountResult count_oriented(const graph::CsrGraph& oriented,
-                                            IntersectKind kind = IntersectKind::kMerge);
+[[nodiscard]] SeqCountResult count_oriented(const graph::CsrGraph& oriented);
 
 /// Naive wedge-checking counter (Section II-A): enumerate all wedges
 /// (v,u),(v,w) with u < w and test for the closing edge. Exercised as the
@@ -34,9 +32,8 @@ struct SeqCountResult {
 [[nodiscard]] SeqCountResult count_wedge_check(const graph::CsrGraph& undirected);
 
 /// Δ(v) for every vertex: number of triangles incident to v. Basis of the
-/// local clustering coefficient. `kind` selects the closing-vertex collect
-/// kernel (merge/galloping/SIMD families; every kind yields identical Δ).
+/// local clustering coefficient.
 [[nodiscard]] std::vector<std::uint64_t> per_vertex_triangles(
-    const graph::CsrGraph& undirected, IntersectKind kind = IntersectKind::kMerge);
+    const graph::CsrGraph& undirected);
 
 }  // namespace katric::seq

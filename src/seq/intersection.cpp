@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "seq/intersection_simd.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -23,33 +22,6 @@ IntersectResult intersect_merge(std::span<const graph::VertexId> a,
             ++result.count;
             ++i;
             ++j;
-        }
-    }
-    return result;
-}
-
-IntersectResult intersect_binary(std::span<const graph::VertexId> a,
-                                 std::span<const graph::VertexId> b) noexcept {
-    if (a.size() > b.size()) { return intersect_binary(b, a); }
-    IntersectResult result;
-    for (const graph::VertexId x : a) {
-        // Hand-rolled lower bound so every comparison the probe makes is
-        // charged — the ⌈log₂|b|⌉ bound overcharges short early exits and
-        // undercharges nothing, which skewed crossover decisions.
-        std::size_t lo = 0;
-        std::size_t hi = b.size();
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            ++result.ops;
-            if (b[mid] < x) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if (lo < b.size()) {
-            ++result.ops;
-            if (b[lo] == x) { ++result.count; }
         }
     }
     return result;
@@ -91,88 +63,15 @@ std::size_t gallop_lower_bound(std::span<const graph::VertexId> haystack,
     return lo;
 }
 
-IntersectResult intersect_galloping(std::span<const graph::VertexId> a,
-                                    std::span<const graph::VertexId> b) noexcept {
-    if (a.size() > b.size()) { return intersect_galloping(b, a); }
-    IntersectResult result;
-    std::size_t pos = 0;
-    for (const graph::VertexId x : a) {
-        pos = gallop_lower_bound(b, pos, x, result.ops);
-        if (pos == b.size()) { break; }  // every later probe is larger still
-        ++result.ops;
-        if (b[pos] == x) {
-            ++result.count;
-            ++pos;
-        }
-    }
-    return result;
-}
-
-IntersectResult intersect_galloping_collect(std::span<const graph::VertexId> a,
-                                            std::span<const graph::VertexId> b,
-                                            std::vector<graph::VertexId>& out) {
-    const bool a_small = a.size() <= b.size();
-    const auto small = a_small ? a : b;
-    const auto large = a_small ? b : a;
-    IntersectResult result;
-    std::size_t pos = 0;
-    for (const graph::VertexId x : small) {
-        pos = gallop_lower_bound(large, pos, x, result.ops);
-        if (pos == large.size()) { break; }
-        ++result.ops;
-        if (large[pos] == x) {
-            ++result.count;
-            out.push_back(x);
-            ++pos;
-        }
-    }
-    return result;
-}
-
 bool probe_search_pays_off(std::size_t size_a, std::size_t size_b) noexcept {
     const std::size_t small = std::min(size_a, size_b);
     const std::size_t large = std::max(size_a, size_b);
     return small + large > small * (katric::ceil_log2(large + 1) + 1);
 }
 
-IntersectResult intersect_hybrid(std::span<const graph::VertexId> a,
-                                 std::span<const graph::VertexId> b) noexcept {
-    // Binary search pays off once |small|·log|large| < |small| + |large|.
-    if (probe_search_pays_off(a.size(), b.size())) { return intersect_binary(a, b); }
-    return intersect_merge(a, b);
-}
-
-IntersectResult intersect(IntersectKind kind, std::span<const graph::VertexId> a,
-                          std::span<const graph::VertexId> b) noexcept {
-    switch (kind) {
-        case IntersectKind::kMerge: return intersect_merge(a, b);
-        case IntersectKind::kBinary: return intersect_binary(a, b);
-        case IntersectKind::kHybrid: return intersect_hybrid(a, b);
-        // kGalloping routes through the SIMD front scan exactly like
-        // AdaptiveIntersect does, so the same named kernel charges the same
-        // ops from every entry point.
-        case IntersectKind::kGalloping: return intersect_simd_galloping(a, b);
-        case IntersectKind::kSimd: return intersect_simd_merge(a, b);
-        case IntersectKind::kBitmap:
-        case IntersectKind::kAdaptive:
-            // No hub index in the span-only entry point — apply the
-            // size-adaptive half of the decision table.
-            if (probe_search_pays_off(a.size(), b.size())) {
-                return intersect_simd_galloping(a, b);
-            }
-            return intersect_simd_merge(a, b);
-    }
-    return {};
-}
-
 std::string intersect_kind_name(IntersectKind kind) {
     switch (kind) {
         case IntersectKind::kMerge: return "merge";
-        case IntersectKind::kBinary: return "binary";
-        case IntersectKind::kHybrid: return "hybrid";
-        case IntersectKind::kGalloping: return "galloping";
-        case IntersectKind::kSimd: return "simd";
-        case IntersectKind::kBitmap: return "bitmap";
         case IntersectKind::kAdaptive: return "adaptive";
     }
     return "unknown";
@@ -182,16 +81,12 @@ IntersectKind parse_intersect_kind(const std::string& name) {
     for (const auto kind : all_intersect_kinds()) {
         if (intersect_kind_name(kind) == name) { return kind; }
     }
-    KATRIC_THROW("unknown intersect kind '"
-                 << name << "' (merge|binary|hybrid|galloping|simd|bitmap|adaptive)");
+    KATRIC_THROW("unknown intersect kind '" << name << "' (merge|adaptive)");
 }
 
 const std::vector<IntersectKind>& all_intersect_kinds() {
-    static const std::vector<IntersectKind> kinds = {
-        IntersectKind::kMerge,     IntersectKind::kBinary, IntersectKind::kHybrid,
-        IntersectKind::kGalloping, IntersectKind::kSimd,   IntersectKind::kBitmap,
-        IntersectKind::kAdaptive,
-    };
+    static const std::vector<IntersectKind> kinds = {IntersectKind::kMerge,
+                                                     IntersectKind::kAdaptive};
     return kinds;
 }
 

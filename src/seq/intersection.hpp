@@ -23,51 +23,18 @@ struct IntersectResult {
 [[nodiscard]] IntersectResult intersect_merge(std::span<const graph::VertexId> a,
                                               std::span<const graph::VertexId> b) noexcept;
 
-/// Binary-search intersection: probe each element of the smaller set in the
-/// larger one. ops = the probe comparisons *actually performed* (measured,
-/// not the ⌈log₂|large|⌉ upper bound), so hybrid/adaptive crossover
-/// decisions and simulator costs reflect real work. Wins for very skewed
-/// sizes and is the GPU-friendly variant discussed in related work.
-[[nodiscard]] IntersectResult intersect_binary(std::span<const graph::VertexId> a,
-                                               std::span<const graph::VertexId> b) noexcept;
-
-/// Galloping (exponential-search) intersection: walk the smaller set and
-/// gallop a monotone cursor through the larger one. Unlike intersect_binary
-/// the probes share one forward-moving cursor, so the cost adapts to the
-/// overlap pattern: O(small · log(large/small)) worst case, near O(small)
-/// when matches cluster. ops = measured comparisons.
-[[nodiscard]] IntersectResult intersect_galloping(
-    std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
-
-/// Size-ratio dispatch between merge and binary search.
-[[nodiscard]] IntersectResult intersect_hybrid(std::span<const graph::VertexId> a,
-                                               std::span<const graph::VertexId> b) noexcept;
-
-/// The kernel menu. kMerge/kBinary/kHybrid are the paper-era scalar kernels;
-/// kGalloping/kSimd add the cursor-galloping and AVX2 block-merge kernels;
-/// kBitmap forces hub-bitmap probes where a hub row is available; kAdaptive
-/// picks per intersection from size ratio + hub membership (see
-/// seq::AdaptiveIntersect for the decision table).
+/// The kernel menu. kMerge is the paper's merge scan on every call;
+/// kAdaptive picks per call from hub membership and size ratio: hub
+/// bitmap, window galloping or block merge (see seq::AdaptiveIntersect for
+/// the decision table and docs/kernels.md for the cost model).
 enum class IntersectKind {
     kMerge,
-    kBinary,
-    kHybrid,
-    kGalloping,
-    kSimd,
-    kBitmap,
     kAdaptive,
 };
 
-/// Span-only dispatch. kBitmap/kAdaptive degrade gracefully here (no hub
-/// index in scope): they fall back to the size-adaptive galloping/SIMD
-/// choice. Hub-aware dispatch lives in seq::AdaptiveIntersect.
-[[nodiscard]] IntersectResult intersect(IntersectKind kind,
-                                        std::span<const graph::VertexId> a,
-                                        std::span<const graph::VertexId> b) noexcept;
-
 [[nodiscard]] std::string intersect_kind_name(IntersectKind kind);
-/// Parses "merge|binary|hybrid|galloping|simd|bitmap|adaptive"; throws
-/// assertion_error on anything else (CLI typos must fail loudly).
+/// Parses "merge|adaptive"; throws assertion_error on anything else (CLI
+/// typos must fail loudly).
 [[nodiscard]] IntersectKind parse_intersect_kind(const std::string& name);
 [[nodiscard]] const std::vector<IntersectKind>& all_intersect_kinds();
 
@@ -78,22 +45,17 @@ IntersectResult intersect_merge_collect(std::span<const graph::VertexId> a,
                                         std::span<const graph::VertexId> b,
                                         std::vector<graph::VertexId>& out);
 
-/// Galloping counterpart of intersect_merge_collect (same output contract).
-IntersectResult intersect_galloping_collect(std::span<const graph::VertexId> a,
-                                            std::span<const graph::VertexId> b,
-                                            std::vector<graph::VertexId>& out);
-
 /// Index of the first element of `haystack` at or past `from` that is
 /// ≥ `needle` (gallop + binary refinement), counting every comparison into
-/// `ops`. The shared primitive behind the galloping kernels; exposed so the
+/// `ops`. The shared primitive behind window galloping; exposed so the
 /// streaming counter can gallop over flag-annotated rows.
 [[nodiscard]] std::size_t gallop_lower_bound(std::span<const graph::VertexId> haystack,
                                              std::size_t from, graph::VertexId needle,
                                              std::uint64_t& ops) noexcept;
 
 /// True when |small|-probe search is estimated cheaper than a linear merge
-/// of both sets — the shared crossover rule of the hybrid and adaptive
-/// dispatchers.
+/// of both sets — the crossover rule of the adaptive dispatcher and the
+/// streaming counter.
 [[nodiscard]] bool probe_search_pays_off(std::size_t size_a, std::size_t size_b) noexcept;
 
 /// Per-thread reusable collect buffer: call sites that enumerate closing

@@ -9,36 +9,34 @@
 
 namespace katric::seq {
 
-/// Vectorized intersection kernels (AVX2, 4×64-bit lanes) with runtime CPU
-/// dispatch and scalar fallbacks. The build stays portable: compiling with
-/// KATRIC_ENABLE_SIMD only *adds* the AVX2 code paths behind
-/// function-level target attributes — no -march=native requirement — and
-/// every entry point silently degrades to the scalar kernel when the
-/// feature is compiled out, the CPU lacks AVX2, or a test forces the
-/// scalar path.
+/// Vector intersection kernels: a block merge and a window galloping loop,
+/// each written once over a 4-lane primitive pair with one portable and one
+/// AVX2 implementation. Every call checks the ISA once and runs the AVX2
+/// pair when simd_available(), the portable pair otherwise. Both pairs
+/// compute the same lane masks, so count, collected output *and charged
+/// ops* are identical on every host: simulated metrics never depend on the
+/// CPU. Compiling with KATRIC_ENABLE_SIMD only *adds* the AVX2 pair behind
+/// function-level target attributes — no -march=native requirement.
 ///
-/// Op-cost calibration: one 4×4 block comparison (4 cmpeq + mask extract +
-/// advance) replaces up to 8 scalar merge comparisons but retires in a few
-/// instructions, so a block is charged kSimdMergeBlockOps — calibrated
-/// against bench_micro_kernels so simulated compute cost keeps tracking
-/// real work (see docs/kernels.md). Scalar tail comparisons are charged 1
-/// op each, exactly like intersect_merge.
+/// Op-cost model (ISA-independent): one 4×4 block comparison is charged
+/// kSimdMergeBlockOps, one window compare 1 op, and every scalar tail or
+/// gallop comparison 1 op, exactly like intersect_merge (see
+/// docs/kernels.md).
 inline constexpr std::uint64_t kSimdMergeBlockOps = 3;
 
-/// True iff the AVX2 paths will actually run: compiled in, CPU supports
+/// True iff the AVX2 pair will actually run: compiled in, CPU supports
 /// AVX2, not overridden by force_scalar_simd() or KATRIC_FORCE_SCALAR=1 in
-/// the environment (the CI hook for exercising the portable path on SIMD
-/// hardware).
+/// the environment (the CI hook for exercising the portable pair on SIMD
+/// hardware). Changes host time only, never results or ops.
 [[nodiscard]] bool simd_available() noexcept;
 
-/// Test hook: force (or un-force) the scalar fallbacks regardless of CPU
-/// support. The differential tests run every kernel through both paths.
+/// Test hook: force (or un-force) the portable pair regardless of CPU
+/// support. The differential tests run every kernel through both pairs.
 void force_scalar_simd(bool force) noexcept;
 
-/// Shuffle-based block merge: compares 4-element blocks of both inputs
-/// all-pairs via lane rotations, advancing the block with the smaller
-/// maximum. Exact same result as intersect_merge. Falls back to
-/// intersect_merge when simd_available() is false.
+/// Block merge: compares 4-element blocks of both inputs all-pairs,
+/// advancing the block with the smaller maximum, then merges the scalar
+/// tail. Same count as intersect_merge.
 [[nodiscard]] IntersectResult intersect_simd_merge(
     std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 
@@ -48,9 +46,9 @@ IntersectResult intersect_simd_merge_collect(std::span<const graph::VertexId> a,
                                              std::span<const graph::VertexId> b,
                                              std::vector<graph::VertexId>& out);
 
-/// Galloping probe with a vectorized front scan: each probe first compares
-/// one 4-lane window at the shared cursor (1 charged op) and only gallops
-/// scalar beyond it. Falls back to intersect_galloping when unavailable.
+/// Window galloping: walks the smaller set with a shared cursor into the
+/// larger one; each probe first compares one 4-lane window at the cursor
+/// (1 charged op) and gallops (gallop_lower_bound) only beyond it.
 [[nodiscard]] IntersectResult intersect_simd_galloping(
     std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 

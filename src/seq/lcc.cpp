@@ -22,9 +22,8 @@ std::vector<double> lcc_from_triangle_counts(const CsrGraph& undirected,
     return lcc;
 }
 
-std::vector<double> local_clustering_coefficients(const CsrGraph& undirected,
-                                                  IntersectKind kind) {
-    return lcc_from_triangle_counts(undirected, per_vertex_triangles(undirected, kind));
+std::vector<double> local_clustering_coefficients(const CsrGraph& undirected) {
+    return lcc_from_triangle_counts(undirected, per_vertex_triangles(undirected));
 }
 
 LccOracle compute_lcc_oracle(const CsrGraph& undirected) {

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "seq/intersection.hpp"
 
 namespace katric::seq {
 
@@ -16,7 +15,7 @@ namespace katric::seq {
 /// the same formula.) Vertices with
 /// d_v < 2 have LCC 0.
 [[nodiscard]] std::vector<double> local_clustering_coefficients(
-    const graph::CsrGraph& undirected, IntersectKind kind = IntersectKind::kMerge);
+    const graph::CsrGraph& undirected);
 
 /// Same from precomputed Δ values.
 [[nodiscard]] std::vector<double> lcc_from_triangle_counts(

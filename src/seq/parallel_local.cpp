@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "seq/intersection.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
 
@@ -13,7 +14,7 @@ namespace katric::seq {
 using graph::VertexId;
 
 ParallelCountResult count_oriented_parallel(const graph::CsrGraph& oriented,
-                                            int num_threads, IntersectKind kind) {
+                                            int num_threads) {
     KATRIC_ASSERT(oriented.is_oriented());
     KATRIC_ASSERT(num_threads >= 1);
     ParallelCountResult result;
@@ -36,7 +37,7 @@ ParallelCountResult count_oriented_parallel(const graph::CsrGraph& oriented,
             const auto v = static_cast<VertexId>(sv);
             const auto out_v = oriented.neighbors(v);
             for (VertexId u : out_v) {
-                const auto r = intersect(kind, out_v, oriented.neighbors(u));
+                const auto r = intersect_merge(out_v, oriented.neighbors(u));
                 local_triangles += r.count;
                 local_ops += r.ops;
             }

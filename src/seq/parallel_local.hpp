@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "graph/csr_graph.hpp"
-#include "seq/intersection.hpp"
 
 namespace katric::seq {
 
@@ -21,7 +20,6 @@ struct ParallelCountResult {
 };
 
 [[nodiscard]] ParallelCountResult count_oriented_parallel(
-    const graph::CsrGraph& oriented, int num_threads,
-    IntersectKind kind = IntersectKind::kMerge);
+    const graph::CsrGraph& oriented, int num_threads);
 
 }  // namespace katric::seq

@@ -241,9 +241,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
         sixths_[self.rank()].value += gained;
         return;
     }
-    if ((kind == seq::IntersectKind::kAdaptive
-         || kind == seq::IntersectKind::kGalloping)
-        && flagged_a.size() <= row_b.size()
+    if (kind == seq::IntersectKind::kAdaptive && flagged_a.size() <= row_b.size()
         && seq::probe_search_pays_off(flagged_a.size(), row_b.size())) {
         // Galloping path: walk the (small) shipped row, gallop the local
         // one. The a-side flags ride along; masking restores the IDs.
@@ -263,7 +261,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
         sixths_[self.rank()].value += gained;
         return;
     }
-    // Merge path (every remaining kind): the flag bit sits above any valid
+    // Merge path: the flag bit sits above any valid
     // vertex ID, so masking per element keeps the scan order intact.
     self.charge_ops(flagged_a.size() + row_b.size());
     std::size_t i = 0;

@@ -196,6 +196,13 @@ TEST(Config, TryFromFlagsRejectsMissingValueAndBadValue) {
 
     const auto not_a_flag = Config::try_from_flags({"ranks=4"});
     EXPECT_EQ(not_a_flag.error, ConfigError::kBadValue);
+
+    // --intersect is merge|adaptive; the kernels adaptive dispatches to are
+    // not selectable on their own.
+    for (const std::string name : {"binary", "hybrid", "galloping", "simd", "bitmap"}) {
+        const auto parse = Config::try_from_flags({"--intersect=" + name});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << name;
+    }
 }
 
 TEST(Config, RoundTripSurvivesTypedValidation) {
@@ -244,7 +251,7 @@ TEST(Config, StreamSpecInteropIsLossless) {
     spec.num_ranks = 5;
     spec.indirect = true;
     spec.maintain_lcc = true;
-    spec.options.intersect = seq::IntersectKind::kGalloping;
+    spec.options.intersect = seq::IntersectKind::kAdaptive;
     const auto config = Config::from_stream_spec(spec);
     const auto back = config.stream_spec();
     EXPECT_EQ(back.initial_algorithm, spec.initial_algorithm);

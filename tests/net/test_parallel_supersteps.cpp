@@ -191,8 +191,7 @@ constexpr Faults kInjected[] = {Faults::kNone, Faults::kDrop, Faults::kDuplicate
 
 TEST_P(ParallelSuperstepGrid, SerialAndParallelRunsAreBitIdentical) {
     const auto [algorithm, ranks] = GetParam();
-    for (const auto kernel : {seq::IntersectKind::kMerge, seq::IntersectKind::kAdaptive,
-                              seq::IntersectKind::kGalloping}) {
+    for (const auto kernel : seq::all_intersect_kinds()) {
         for (const int flags : {0, 1, 2, 3}) {
             core::RunSpec spec;
             spec.algorithm = algorithm;

@@ -45,7 +45,7 @@ TEST(KernelStats, RecordTotalsAndMerge) {
     EXPECT_EQ(a.total(), 3u);
     EXPECT_EQ(a.total(obs::KernelChoice::kMerge), 2u);
     EXPECT_EQ(a.total(obs::KernelChoice::kGalloping), 1u);
-    EXPECT_EQ(a.total(obs::KernelChoice::kBinary), 0u);
+    EXPECT_EQ(a.total(obs::KernelChoice::kSimdMerge), 0u);
 
     obs::KernelStats b;
     b.record(obs::KernelChoice::kMerge, 5);

@@ -34,9 +34,7 @@ protected:
 TEST_P(SeqCounterFamilyTest, EdgeIteratorMatchesBruteForce) {
     const auto& g = family_case().graph;
     const auto expected = count_brute_force(g);
-    EXPECT_EQ(count_edge_iterator(g, IntersectKind::kMerge).triangles, expected);
-    EXPECT_EQ(count_edge_iterator(g, IntersectKind::kBinary).triangles, expected);
-    EXPECT_EQ(count_edge_iterator(g, IntersectKind::kHybrid).triangles, expected);
+    EXPECT_EQ(count_edge_iterator(g).triangles, expected);
 }
 
 TEST_P(SeqCounterFamilyTest, WedgeCheckMatchesBruteForce) {

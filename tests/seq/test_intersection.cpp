@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "seq/adaptive_intersect.hpp"
+#include "seq/intersection_simd.hpp"
 #include "util/random.hpp"
 
 namespace katric::seq {
@@ -31,13 +33,13 @@ std::uint64_t reference_count(const std::vector<VertexId>& a,
 TEST(Intersection, HandCases) {
     const std::vector<VertexId> a{1, 3, 5, 7};
     const std::vector<VertexId> b{3, 4, 5, 9};
-    for (auto kind : {IntersectKind::kMerge, IntersectKind::kBinary,
-                      IntersectKind::kHybrid}) {
-        EXPECT_EQ(intersect(kind, a, b).count, 2u);
-        EXPECT_EQ(intersect(kind, b, a).count, 2u);
-        EXPECT_EQ(intersect(kind, a, {}).count, 0u);
-        EXPECT_EQ(intersect(kind, {}, b).count, 0u);
-        EXPECT_EQ(intersect(kind, a, a).count, 4u);
+    for (const auto kernel :
+         {&intersect_merge, &intersect_simd_merge, &intersect_simd_galloping}) {
+        EXPECT_EQ(kernel(a, b).count, 2u);
+        EXPECT_EQ(kernel(b, a).count, 2u);
+        EXPECT_EQ(kernel(a, {}).count, 0u);
+        EXPECT_EQ(kernel({}, b).count, 0u);
+        EXPECT_EQ(kernel(a, a).count, 4u);
     }
 }
 
@@ -52,8 +54,8 @@ TEST_P(IntersectionRandomTest, AllKernelsAgreeWithStl) {
         const auto b = sorted_sample(rng, size_b, 4 * (size_a + size_b) + 8);
         const auto expected = reference_count(a, b);
         EXPECT_EQ(intersect_merge(a, b).count, expected);
-        EXPECT_EQ(intersect_binary(a, b).count, expected);
-        EXPECT_EQ(intersect_hybrid(a, b).count, expected);
+        EXPECT_EQ(intersect_simd_merge(a, b).count, expected);
+        EXPECT_EQ(intersect_simd_galloping(a, b).count, expected);
     }
 }
 
@@ -70,23 +72,26 @@ TEST(Intersection, MergeOpsLinear) {
     EXPECT_GE(r.ops, std::min(a.size(), b.size()));
 }
 
-TEST(Intersection, BinaryOpsLogarithmic) {
+TEST(Intersection, GallopingOpsLogarithmic) {
     std::vector<VertexId> big(1024);
     for (std::size_t i = 0; i < big.size(); ++i) { big[i] = 2 * i; }
     const std::vector<VertexId> small{3, 501, 1000};
-    const auto r = intersect_binary(small, big);
+    const auto r = intersect_simd_galloping(small, big);
     EXPECT_EQ(r.count, 1u);  // only 1000 is even and present
-    EXPECT_LE(r.ops, small.size() * 12);
+    // A window compare, a gallop and one equality test per probe: about
+    // 2·log₂|big| each, far below a merge over |big|.
+    EXPECT_LE(r.ops, small.size() * 2 * 12);
 }
 
-TEST(Intersection, HybridPicksCheaperSide) {
+TEST(Intersection, AdaptivePicksCheaperSide) {
     std::vector<VertexId> big(4096);
     for (std::size_t i = 0; i < big.size(); ++i) { big[i] = i; }
     const std::vector<VertexId> tiny{5};
-    // Skewed: hybrid must cost ~log, not ~|big|.
-    EXPECT_LT(intersect_hybrid(tiny, big).ops, 40u);
-    // Balanced: hybrid must cost ~linear of the pair, not |a|·log|b|.
-    const auto balanced = intersect_hybrid(big, big);
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive);
+    // Skewed: adaptive must cost ~log, not ~|big|.
+    EXPECT_LT(adaptive.count(tiny, big).ops, 40u);
+    // Balanced: adaptive must cost ~linear of the pair, not |a|·log|b|.
+    const auto balanced = adaptive.count(big, big);
     EXPECT_LE(balanced.ops, 2 * big.size());
 }
 

@@ -1,10 +1,11 @@
 // Differential tests for the intersection kernel subsystem: every kernel
-// (binary, hybrid, galloping, SIMD block merge, SIMD galloping, hub bitmap,
-// adaptive dispatch) against the scalar merge oracle on randomized sorted
-// sets — including the SIMD tail lengths 0–17, bitmap collect order, and
-// adversarial shapes (empty, disjoint, identical, one-element, 1:10⁶ skew).
-// Each randomized case runs on both the AVX2 path and the forced-scalar
-// fallback so the two stay bit-identical.
+// (block merge, window galloping, hub bitmap, adaptive dispatch) against the
+// scalar merge oracle on randomized sorted sets — including the 4-lane tail
+// lengths 0–17, bitmap collect order, and adversarial shapes (empty,
+// disjoint, identical, one-element, 1:10⁶ skew). Every input also runs the
+// vector kernels on both the AVX2 and the portable lane pair, which must
+// agree on count, collected output *and* charged ops: simulated metrics may
+// not depend on the host CPU.
 
 #include <gtest/gtest.h>
 
@@ -39,41 +40,92 @@ std::vector<VertexId> reference_intersection(const std::vector<VertexId>& a,
     return out;
 }
 
-/// Restores the SIMD toggle even when an assertion bails out of a test.
+/// Sets the SIMD toggle for a scope and restores the enclosing scope's
+/// setting, even when an assertion bails out of a test.
 class ScopedSimdMode {
 public:
-    explicit ScopedSimdMode(bool force_scalar) { force_scalar_simd(force_scalar); }
-    ~ScopedSimdMode() { force_scalar_simd(false); }
+    explicit ScopedSimdMode(bool force_scalar) : previous_(forced()) {
+        set(force_scalar);
+    }
+    ~ScopedSimdMode() { set(previous_); }
+
+private:
+    static bool& forced() {
+        static bool value = false;
+        return value;
+    }
+    static void set(bool force_scalar) {
+        forced() = force_scalar;
+        force_scalar_simd(force_scalar);
+    }
+    bool previous_;
 };
+
+/// Everything the vector kernels report for one input pair.
+struct VectorKernelRun {
+    std::vector<IntersectResult> results;
+    std::vector<std::vector<VertexId>> collected;
+};
+
+VectorKernelRun run_vector_kernels(const std::vector<VertexId>& a,
+                                   const std::vector<VertexId>& b, bool force_scalar) {
+    ScopedSimdMode mode(force_scalar);
+    VectorKernelRun run;
+    for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+        run.results.push_back(intersect_simd_merge(*x, *y));
+        run.results.push_back(intersect_simd_galloping(*x, *y));
+        run.collected.emplace_back();
+        run.results.push_back(intersect_simd_merge_collect(*x, *y, run.collected.back()));
+        run.collected.emplace_back();
+        run.results.push_back(
+            intersect_simd_galloping_collect(*x, *y, run.collected.back()));
+    }
+    return run;
+}
+
+/// The AVX2 and the portable lane pair must be indistinguishable: same
+/// count, same ops, same collected elements (on a host without AVX2 both
+/// runs take the portable pair).
+void expect_lane_pairs_agree(const std::vector<VertexId>& a,
+                             const std::vector<VertexId>& b) {
+    const auto avx2 = run_vector_kernels(a, b, false);
+    const auto portable = run_vector_kernels(a, b, true);
+    ASSERT_EQ(avx2.results.size(), portable.results.size());
+    for (std::size_t k = 0; k < avx2.results.size(); ++k) {
+        EXPECT_EQ(avx2.results[k].count, portable.results[k].count) << "kernel " << k;
+        EXPECT_EQ(avx2.results[k].ops, portable.results[k].ops) << "kernel " << k;
+    }
+    EXPECT_EQ(avx2.collected, portable.collected);
+}
 
 void expect_all_kernels_match(const std::vector<VertexId>& a,
                               const std::vector<VertexId>& b) {
     const auto expected = reference_intersection(a, b);
     const auto n = static_cast<std::uint64_t>(expected.size());
     EXPECT_EQ(intersect_merge(a, b).count, n);
-    EXPECT_EQ(intersect_binary(a, b).count, n);
-    EXPECT_EQ(intersect_hybrid(a, b).count, n);
-    EXPECT_EQ(intersect_galloping(a, b).count, n);
-    EXPECT_EQ(intersect_galloping(b, a).count, n);
     EXPECT_EQ(intersect_simd_merge(a, b).count, n);
     EXPECT_EQ(intersect_simd_merge(b, a).count, n);
     EXPECT_EQ(intersect_simd_galloping(a, b).count, n);
+    EXPECT_EQ(intersect_simd_galloping(b, a).count, n);
     for (const auto kind : all_intersect_kinds()) {
-        EXPECT_EQ(intersect(kind, a, b).count, n) << intersect_kind_name(kind);
+        EXPECT_EQ(AdaptiveIntersect(kind).count(a, b).count, n)
+            << intersect_kind_name(kind);
     }
 
     std::vector<VertexId> collected;
     intersect_simd_merge_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
     collected.clear();
-    intersect_galloping_collect(a, b, collected);
-    EXPECT_EQ(collected, expected);
-    collected.clear();
     intersect_simd_galloping_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
+    collected.clear();
+    intersect_simd_galloping_collect(b, a, collected);
+    EXPECT_EQ(collected, expected);
+
+    expect_lane_pairs_agree(a, b);
 }
 
-/// (size_a, size_b, force_scalar): the tail grid 0–17 crosses every SIMD
+/// (size_a, size_b, force_scalar): the tail grid 0–17 crosses every 4-lane
 /// block boundary (blocks are 4 lanes) plus one-past-a-block shapes.
 using TailParam = std::tuple<std::size_t, std::size_t, bool>;
 
@@ -152,14 +204,12 @@ TEST_P(KernelRandomTest, ExtremeSkewOneToMillion) {
                                      5'000'000};
     expect_all_kernels_match(tiny, big);
 
-    // The probe kernels must also be *cheap* here: measured ops well under
+    // The probe kernel must also be *cheap* here: measured ops well under
     // a linear merge scan.
     const auto merge = intersect_merge(tiny, big);
-    const auto gallop = intersect_galloping(tiny, big);
-    const auto binary = intersect_binary(tiny, big);
+    const auto gallop = intersect_simd_galloping(tiny, big);
     EXPECT_EQ(gallop.count, merge.count);
     EXPECT_LT(gallop.ops, merge.ops / 100);
-    EXPECT_LT(binary.ops, merge.ops / 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(SimdAndScalar, KernelRandomTest, ::testing::Bool(),
@@ -183,21 +233,27 @@ TEST(KernelHighBitIds, Bit63ValuesOrderExactlyLikeScalar) {
         EXPECT_EQ(expected, 5u);
         EXPECT_EQ(intersect_simd_galloping(small, big).count, expected);
         EXPECT_EQ(intersect_simd_merge(small, big).count, expected);
-        EXPECT_EQ(intersect_galloping(small, big).count, expected);
     }
+    expect_lane_pairs_agree(small, big);
 }
 
-TEST(BinaryOps, CountsMeasuredProbesNotTheUpperBound) {
+TEST(GallopLowerBound, CountsMeasuredComparisons) {
     std::vector<VertexId> big(1 << 12);
     for (std::size_t i = 0; i < big.size(); ++i) { big[i] = i; }
-    const std::vector<VertexId> probes{0, 2048, 4095};
-    const auto r = intersect_binary(probes, big);
-    EXPECT_EQ(r.count, 3u);
-    // Measured: a lower bound on 2¹² elements takes 13 halvings, plus one
-    // equality test per probe; anything above that would be the old
-    // upper-bound charging.
-    EXPECT_LE(r.ops, probes.size() * 14);
-    EXPECT_GE(r.ops, probes.size() * 12);
+    for (const VertexId needle : {VertexId{0}, VertexId{1}, VertexId{2048},
+                                  VertexId{4095}, VertexId{5000}}) {
+        std::uint64_t ops = 0;
+        const auto pos = gallop_lower_bound(big, 0, needle, ops);
+        EXPECT_EQ(pos, std::min<std::size_t>(needle, big.size())) << needle;
+        // One comparison at the cursor, at most 12 doublings and 13
+        // halvings over 2¹² elements: every comparison made is charged, no
+        // more.
+        EXPECT_GE(ops, 1u) << needle;
+        EXPECT_LE(ops, 26u) << needle;
+    }
+    std::uint64_t ops = 0;
+    EXPECT_EQ(gallop_lower_bound(big, big.size(), 7, ops), big.size());
+    EXPECT_EQ(ops, 0u);  // a cursor past the end compares nothing
 }
 
 TEST(GallopingOps, AdaptsToClusteredMatches) {
@@ -207,7 +263,7 @@ TEST(GallopingOps, AdaptsToClusteredMatches) {
     for (std::size_t i = 0; i < big.size(); ++i) { big[i] = i; }
     std::vector<VertexId> clustered;
     for (VertexId i = 100; i < 200; ++i) { clustered.push_back(i); }
-    const auto r = intersect_galloping(clustered, big);
+    const auto r = intersect_simd_galloping(clustered, big);
     EXPECT_EQ(r.count, clustered.size());
     EXPECT_LT(r.ops, clustered.size() * 6);
 }

@@ -22,7 +22,7 @@ namespace {
 StreamRunSpec bitmap_spec(Rank p) {
     StreamRunSpec spec;
     spec.num_ranks = p;
-    spec.options.intersect = seq::IntersectKind::kBitmap;
+    spec.options.intersect = seq::IntersectKind::kAdaptive;
     spec.options.hub_threshold = 1;  // every non-empty row is a hub
     return spec;
 }

@@ -47,10 +47,13 @@ struct Cell {
     bool indirect = false;
     bool maintain_lcc = false;
     bool hardened = false;
+    /// Small hubs (4), so adaptive cells probe bitmaps and rebuild dirty ones.
+    bool small_hubs = false;
 
     [[nodiscard]] std::string name() const {
         return "p=" + std::to_string(ranks)
                + " kernel=" + seq::intersect_kind_name(kernel)
+               + " small_hubs=" + std::to_string(small_hubs)
                + " indirect=" + std::to_string(indirect)
                + " lcc=" + std::to_string(maintain_lcc)
                + " hardened=" + std::to_string(hardened);
@@ -92,8 +95,7 @@ Outcome run(const graph::CsrGraph& base, const std::vector<EdgeBatch>& batches,
     spec.num_ranks = cell.ranks;
     spec.indirect = cell.indirect;
     spec.options.intersect = cell.kernel;
-    // Small hubs, so the bitmap cells probe bitmaps and rebuild dirty ones.
-    if (cell.kernel == seq::IntersectKind::kBitmap) { spec.options.hub_threshold = 4; }
+    if (cell.small_hubs) { spec.options.hub_threshold = 4; }
     auto views = distribute_dynamic(base, spec);
     net::Simulator sim(spec.num_ranks, spec.network);
     sim.set_worker_pool(pool);
@@ -167,12 +169,14 @@ TEST_P(ParallelStreamGrid, SerialAndParallelStreamsAreBitIdentical) {
     const auto base = make_base(GetParam());
     const auto batches = make_churn_stream(base, 384, 0.4, 31).batches_of(64);
     for (const Rank ranks : {1u, 4u, 7u, 16u}) {
-        for (const auto kernel : {seq::IntersectKind::kMerge,
-                                  seq::IntersectKind::kAdaptive,
-                                  seq::IntersectKind::kBitmap}) {
+        // merge, adaptive, and adaptive with small hubs
+        for (const int kernel_cell : {0, 1, 2}) {
+            const auto kernel = kernel_cell == 0 ? seq::IntersectKind::kMerge
+                                                 : seq::IntersectKind::kAdaptive;
             for (const int flags : {0, 1, 2, 3, 4, 5, 6, 7}) {
-                const Cell cell{ranks, kernel, (flags & 1) != 0, (flags & 2) != 0,
-                                (flags & 4) != 0};
+                Cell cell{ranks, kernel, (flags & 1) != 0, (flags & 2) != 0,
+                          (flags & 4) != 0};
+                cell.small_hubs = kernel_cell == 2;
                 const auto serial = run(base, batches, cell, nullptr);
                 const auto parallel = run(base, batches, cell, &three_helpers());
                 expect_same_outcome(serial, parallel, GetParam() + " " + cell.name());
